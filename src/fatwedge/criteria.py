@@ -3,6 +3,8 @@
 Every search returns a tri-state SearchResult: found (with a certificate that
 can be re-validated independently), none (the search space was exhausted and
 no certificate exists), or exhausted (the node budget ran out first).
+fill_search has a fourth state, refuted: no filling is acyclic over Z, which
+rules out every contractible filling.
 Contractibility is undecidable, so nothing here ever concludes "not fillable"
 from a failed collapse search alone; refutations always come through an
 acyclicity obstruction, which is a genuine invariant.
@@ -61,7 +63,7 @@ class FillingCertificate:
 
 @dataclass(frozen=True)
 class SearchResult:
-    status: str                    # "found" | "none" | "exhausted"
+    status: str                    # "found" | "none" | "exhausted" | "refuted"
     certificate: object | None = None
     nodes: int = 0
 
@@ -84,14 +86,19 @@ class _Budget:
 # -- shellability -------------------------------------------------------------
 
 def _shelling_ok(f: int, placed: list[int]) -> bool:
-    """Is <f> cut down by the placed facets in a pure codimension-one way?"""
-    size = f.bit_count()
-    caps = [f & g for g in placed]
-    walls = [c for c in caps if c.bit_count() == size - 1]
-    for c in caps:
-        if not any(c & ~w == 0 for w in walls):
-            return False
-    return True
+    """Is <f> cut down by the placed facets in a pure codimension-one way?
+
+    Every cap f & g must lie in a wall, a cap of size |f| - 1, which is f
+    minus one vertex v.  The cap lies in the wall f - v exactly when v is in
+    f & ~g.  With W the set of vertices v whose wall f - v is a cap, the
+    condition is (f & ~g) & W != 0 for every placed g.
+    """
+    missed = [f & ~g for g in placed]
+    W = 0
+    for d in missed:
+        if d.bit_count() == 1:
+            W |= d
+    return all(d & W for d in missed)
 
 
 def shelling_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -101,6 +108,8 @@ def shelling_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
     placed facets, and failed placed-sets are memoized (future feasibility
     only depends on the set, not the order that reached it).
     """
+    # K.facets is sorted by vertex tuple, so the stable sort on overlap below
+    # breaks ties by vertex tuple
     facets = list(K.facets)
     t = len(facets)
     if t == 1:
@@ -117,7 +126,7 @@ def shelling_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
         if placed_set in failed:
             return False
         cands = [f for f in facets if f not in placed_set]
-        cands.sort(key=lambda f: (-(f & union).bit_count(), verts(f)))
+        cands.sort(key=lambda f: -(f & union).bit_count())
         for f in cands:
             if not b.spend():
                 budget_hit = True

@@ -12,7 +12,7 @@ import itertools
 import random
 from math import gcd
 
-from fatwedge.complexes import make_complex
+from fatwedge.complexes import make_complex, verts
 
 
 def random_complex(rng: random.Random, max_m: int = 7, min_m: int = 1):
@@ -139,9 +139,61 @@ def _det(a) -> int:
 
 def brute_force_faces(K) -> set[tuple[int, ...]]:
     """All faces by scanning every subset of the ground set."""
-    from fatwedge.complexes import verts
     out = set()
     for mask in range(1 << K.m):
         if K.has_face(mask):
             out.add(verts(mask))
     return out
+
+
+def reference_shelling_ok(f: int, placed) -> bool:
+    """The shelling condition compared cap by wall: every cap f & g must lie
+    in some cap of size |f| - 1."""
+    size = f.bit_count()
+    caps = [f & g for g in placed]
+    walls = [c for c in caps if c.bit_count() == size - 1]
+    for c in caps:
+        if not any(c & ~w == 0 for w in walls):
+            return False
+    return True
+
+
+def reference_shelling_search(K, budget: int):
+    """Shelling backtrack with the pairwise condition and an explicit
+    (overlap, vertex tuple) candidate key; returns (status, nodes, facets)."""
+    facets = list(K.facets)
+    t = len(facets)
+    if t == 1:
+        return "found", 1, (facets[0],)
+    left = budget
+    failed = set()
+    order = []
+    budget_hit = False
+
+    def extend(placed_set, union):
+        nonlocal left, budget_hit
+        if len(order) == t:
+            return True
+        if placed_set in failed:
+            return False
+        cands = [f for f in facets if f not in placed_set]
+        cands.sort(key=lambda f: (-(f & union).bit_count(), verts(f)))
+        for f in cands:
+            left -= 1
+            if left < 0:
+                budget_hit = True
+                return False
+            if order and not reference_shelling_ok(f, order):
+                continue
+            order.append(f)
+            if extend(placed_set | {f}, union | f):
+                return True
+            order.pop()
+            if budget_hit:
+                return False
+        failed.add(placed_set)
+        return False
+
+    if extend(frozenset(), 0):
+        return "found", budget - left, tuple(order)
+    return ("exhausted" if budget_hit else "none"), budget - left, None

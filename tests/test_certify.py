@@ -5,7 +5,7 @@ import pytest
 from fatwedge.certify import (RULE_DIM, RULE_DUAL_SCM, RULE_DUAL_SHELLABLE,
                               RULE_FILLABLE, RULE_FLAG, RULE_HOMOLOGY_FILLABLE,
                               RULE_LOW_DUAL, RULE_NEIGHBORLY, RULE_NON_GOLOD,
-                              SpacePoincare, bbcg_summands,
+                              SpacePoincare, _try_all_fillable, bbcg_summands,
                               certify_fwf_trivial, golod_report)
 from fatwedge.complexes import (boundary_of_simplex, is_chordal, make_complex,
                                 simplex, skeleton_of_simplex)
@@ -67,6 +67,23 @@ class TestCertify:
                 assert run[RULE_DUAL_SCM] == "fired"
                 assert run[RULE_FILLABLE] == "fired"
                 assert run[RULE_HOMOLOGY_FILLABLE] == "fired"
+
+
+class TestFullSubcomplexScan:
+    def test_fillings_listed_in_mask_order(self):
+        # the scan runs by increasing |I|, but the evidence keeps numeric mask
+        # order: [1, 2, 4] (mask 11) precedes [1, 5] (mask 17)
+        path5 = make_complex(5, [[1, 2], [2, 3], [3, 4], [4, 5]])
+        ev = _try_all_fillable(path5, budget=10 ** 6)
+        assert list(ev["nontrivial_fillings"].items()) == [
+            ("[1, 3]", [[1, 2]]), ("[1, 4]", [[1, 2]]), ("[2, 4]", [[1, 2]]),
+            ("[1, 2, 4]", [[1, 3]]), ("[1, 3, 4]", [[1, 2]]),
+            ("[1, 5]", [[1, 2]]), ("[2, 5]", [[1, 2]]),
+            ("[1, 2, 5]", [[1, 3]]), ("[3, 5]", [[1, 2]]),
+            ("[1, 3, 5]", [[1, 2], [1, 3]]), ("[2, 3, 5]", [[1, 3]]),
+            ("[1, 2, 3, 5]", [[1, 4]]), ("[1, 4, 5]", [[1, 2]]),
+            ("[2, 4, 5]", [[1, 2]]), ("[1, 2, 4, 5]", [[1, 3]]),
+            ("[1, 3, 4, 5]", [[1, 2]])]
 
 
 class TestGolodReport:

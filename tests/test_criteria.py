@@ -1,12 +1,14 @@
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
                                 make_complex, simplex, skeleton_of_simplex,
                                 verts)
 from fatwedge.corpus import berglund_complex
-from fatwedge.criteria import (collapse_search, fill_search,
+from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
                                filling_from_dual_shelling, is_cm,
                                is_collapse_sequence, is_dual_scm,
                                is_dual_shellable, is_homology_fillable, is_scm,
@@ -16,7 +18,8 @@ from fatwedge.criteria import (collapse_search, fill_search,
                                weak_shelling_search)
 from fatwedge.homology import QQ, ZZ, is_acyclic
 
-from helpers import random_complex
+from helpers import (random_complex, reference_shelling_ok,
+                     reference_shelling_search)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -61,6 +64,33 @@ class TestShelling:
         res = shelling_search(B)
         span = spanning_facets(B, res.certificate.facets)
         assert len(span) == 1  # one H~_1 class
+
+
+class TestShellingAgainstReference:
+    @pytest.mark.parametrize("budget", [50, 2000])
+    @given(complexes(max_m=6))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pairwise_reference(self, budget, K):
+        facets = K.facets
+        for k, f in enumerate(facets):
+            others = facets[:k] + facets[k + 1:]
+            for size in range(1, len(others) + 1):
+                for placed in itertools.combinations(others, size):
+                    assert (_shelling_ok(f, list(placed))
+                            == reference_shelling_ok(f, placed))
+        res = shelling_search(K, budget)
+        facets_found = res.certificate.facets if res.found else None
+        assert ((res.status, res.nodes, facets_found)
+                == reference_shelling_search(K, budget))
+        try:
+            dual = alexander_dual(K)
+        except ValueError:
+            expected = ("found", 0, ())
+        else:
+            expected = reference_shelling_search(dual, budget)
+        res = is_dual_shellable(K, budget)
+        facets_found = res.certificate.facets if res.found else None
+        assert (res.status, res.nodes, facets_found) == expected
 
 
 class TestSCM:
