@@ -2,8 +2,10 @@
 
 Exit codes: 0 = computed, 1 = negative verdict on a check command (not Golod,
 nontrivial/refuted/none), 2 = usage or parse error, 3 = search budget
-exhausted.  Output is byte-identical for identical input and flags: keys are
-sorted and all list-valued fields use canonical orderings.
+exhausted, 4 = internal error (an uncaught exception, reported as
+{"error": "<Type>: <message>"}).  Output is byte-identical for identical
+input and flags: keys are sorted and all list-valued fields use canonical
+orderings.
 """
 
 from __future__ import annotations
@@ -368,6 +370,11 @@ def run_command(argv) -> int:
     except FileNotFoundError as e:
         _emit({"error": f"cannot read {e.filename}"})
         return 2
+    except Exception as e:
+        # a crash (a failed soundness assertion, RecursionError, ...) must
+        # not read as the negative verdict that exit code 1 stands for
+        _emit({"error": f"{type(e).__name__}: {e}"})
+        return 4
 
 
 def main() -> None:

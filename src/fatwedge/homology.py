@@ -5,10 +5,12 @@ augmentation boundary of every vertex is [empty], so every profile is reduced
 homology and degree -1 genuinely exists (the empty complex has nontrivial
 H in degree -1, which Hochster-type sums rely on).
 
-Boundary matrices are kept column-sparse.  Bulk invariants (ranks, torsion
-divisors) go through the sparse eliminator in ``snf``; homology bases with
-representative cycles, needed for induced maps, use the dense transform-
-carrying Smith form on the small complexes where maps are actually taken.
+Boundary matrices are kept column-sparse.  Bulk invariants go through the
+one sparse integral eliminator in ``snf``: a single reduction gives the
+Smith divisors of every boundary map, and the ranks over Q and Z/p are read
+off them.  Homology bases with representative cycles, needed for induced
+maps, use the dense transform-carrying Smith form on the small complexes
+where maps are actually taken.
 
 Everything here is a pure function of immutable inputs; results are memoized,
 and a parallel map over subsets in ``dK`` would be schedule-independent.
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .complexes import SimplicialComplex, full_subcomplex, verts
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
-                  smith_normal_form, sparse_rank_divisors)
+                  rank_mod_p, smith_normal_form, sparse_rank_divisors)
 
 # Tally of boundary-squared verifications, one entry per chain complex or
 # Koszul piece constructed; the acceptance suite reads this to confirm the
@@ -111,14 +113,6 @@ class ChainComplex:
                 if any(acc.values()):
                     raise ValueError(f"d^2 != 0 at degree {q}, column {j}")
 
-    @property
-    def min_degree(self) -> int:
-        return min(self.basis) if self.basis else 0
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.basis) if self.basis else -1
-
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
 
@@ -164,10 +158,6 @@ class HomologyProfile:
 
     def nonzero_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.free) | set(self.torsion)))
-
-    def max_degree(self) -> int | None:
-        degs = self.nonzero_degrees()
-        return degs[-1] if degs else None
 
     def shifted(self, k: int) -> "HomologyProfile":
         return HomologyProfile(self.ring,
@@ -236,9 +226,10 @@ class HomologyProfile:
 
 def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
     """Reduced homology profile of an augmented chain complex."""
-    p = ring.p if ring.kind == "Zp" else None
     dims = {q: cc.dim(q) for q in cc.basis}
-    ranks, divisors = complex_rank_divisors(cc.boundary, dims, p=p)
+    ranks, divisors = complex_rank_divisors(cc.boundary, dims)
+    if ring.kind == "Zp":
+        ranks = {q: rank_mod_p(ds, ring.p) for q, ds in divisors.items()}
     free: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     for q in cc.basis:
@@ -527,13 +518,7 @@ class HomologyBasis:
 
 
 def _field_rank(cols, nrows: int, p: int | None) -> int:
-    if not cols:
-        return 0
-    if p is not None:
-        r, _ = sparse_rank_divisors(cols, nrows, p=p)
-        return r
-    r, _ = sparse_rank_divisors(cols, nrows)
-    return r
+    return sparse_rank_divisors(cols, nrows, p)[0] if cols else 0
 
 
 def _field_kernel(cols, nrows: int, ncols: int, p: int | None) -> list[list]:

@@ -3,18 +3,18 @@
 Two engines share this module.  ``smith_normal_form`` is a dense
 transform-carrying reduction used where kernel/cokernel bases are needed
 (homology generators, induced maps); entries are Python ints, so there is no
-overflow.  ``sparse_rank_divisors`` is a divisors-only sparse eliminator for
-the bulk homology computations, where boundary matrices are large but almost
-all pivots are units: unit pivots are eliminated with row operations only
-(after the pivot's column is cleared, clearing its row touches nothing else),
-and whatever remains is handed to the dense routine.
+overflow.  ``complex_rank_divisors`` is the one sparse eliminator, over Z and
+divisors-only, for the bulk homology computations, where boundary matrices
+are large but almost all pivots are units: unit pivots are eliminated and
+split off, and whatever remains is handed to the dense routine.  Field ranks
+are read off its divisors: over Q the rank is the number of divisors, over
+Z/p it is ``rank_mod_p``.  ``sparse_rank_divisors`` runs it on one matrix.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -196,123 +196,16 @@ def smith_normal_form(matrix) -> SNFResult:
     )
 
 
-# -- sparse divisors-only engine --------------------------------------------
+# -- sparse elimination over Z ----------------------------------------------
 
-def sparse_rank_divisors(columns, nrows: int, p: int | None = None):
-    """Rank and diagonal divisors of a sparse integer matrix.
-
-    columns is a sequence of {row: value} dicts.  With p = None the result is
-    (rank over Q, invariant divisors over Z); with a prime p all arithmetic is
-    mod p and the divisors are meaningless (rank only).
-
-    Unit pivots (every nonzero entry, mod p) are eliminated greedily by
-    Markowitz cost through a lazy heap; any integer residue without unit
-    entries goes through the dense Smith reduction.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, dict[int, int]] = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            if p is not None:
-                v %= p
-            if v:
-                rows.setdefault(i, {})[j] = v
-                cols.setdefault(j, {})[i] = v
-    unit_pivots = 0
-    heap: list[tuple[int, int, int]] = []
-
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    def push_candidates_of_row(i: int) -> None:
-        for j, v in rows[i].items():
-            if p is not None or v == 1 or v == -1:
-                heapq.heappush(heap, (cost(i, j), i, j))
-
-    for i in rows:
-        push_candidates_of_row(i)
-
-    while heap:
-        c, pi, pj = heapq.heappop(heap)
-        if pi not in rows or pj not in cols:
-            continue
-        v = rows[pi].get(pj)
-        if v is None or (p is None and v not in (1, -1)):
-            continue
-        if c != cost(pi, pj):
-            heapq.heappush(heap, (cost(pi, pj), pi, pj))
-            continue
-        # eliminate: clear column pj with row operations, then drop row/col
-        if p is None:
-            inv = v  # v is +-1
-        else:
-            inv = pow(v, -1, p)
-        pivot_row = rows.pop(pi)
-        for j in pivot_row:
-            c2 = cols[j]
-            del c2[pi]
-            if not c2 and j != pj:
-                del cols[j]
-        col_entries = cols.pop(pj, {})
-        for i2, w in col_entries.items():
-            ri = rows[i2]
-            del ri[pj]
-            factor = (w * inv) if p is None else (w * inv) % p
-            if not factor:
-                if not ri:
-                    del rows[i2]
-                continue
-            for j, pv in pivot_row.items():
-                if j == pj:
-                    continue
-                nv = ri.get(j, 0) - factor * pv
-                if p is not None:
-                    nv %= p
-                if nv:
-                    if j not in ri:
-                        cols.setdefault(j, {})[i2] = nv
-                    else:
-                        cols[j][i2] = nv
-                    ri[j] = nv
-                elif j in ri:
-                    del ri[j]
-                    del cols[j][i2]
-                    if not cols[j]:
-                        del cols[j]
-            if ri:
-                push_candidates_of_row(i2)
-            else:
-                del rows[i2]
-        unit_pivots += 1
-
-    if not rows:
-        return (unit_pivots, (1,) * unit_pivots) if p is None else (unit_pivots, ())
-    if p is not None:
-        # all remaining entries are invertible mod p; the loop above cannot
-        # leave any behind
-        raise AssertionError("mod-p elimination left a nonempty residue")
-
-    # dense residue
-    rlist = sorted(rows)
-    clist = sorted({j for i in rlist for j in rows[i]})
-    cpos = {j: k for k, j in enumerate(clist)}
-    dense = [[0] * len(clist) for _ in rlist]
-    for a, i in enumerate(rlist):
-        for j, v in rows[i].items():
-            dense[a][cpos[j]] = v
-    res = smith_normal_form(dense)
-    divisors = (1,) * unit_pivots + res.divisors
-    return unit_pivots + res.rank, divisors
-
-
-# -- whole-complex reduction --------------------------------------------------
-
-def complex_rank_divisors(boundaries, dims, p: int | None = None):
+def complex_rank_divisors(boundaries, dims):
     """Ranks and divisors of every boundary matrix of a chain complex at once.
 
-    boundaries maps degree q to the sparse columns of d_q (entries over the
-    (q-1)-basis); dims maps degree to basis size.  Returns (ranks, divisors)
-    dicts indexed by degree; with a prime p the divisors are empty.
+    boundaries maps degree q to the sparse integer columns of d_q (entries
+    over the (q-1)-basis); dims maps degree to basis size.  Returns (ranks,
+    divisors) dicts indexed by degree: ranks[q] is the rank of d_q over Q and
+    divisors[q] its invariant divisors over Z, so ranks[q] ==
+    len(divisors[q]) and the rank over Z/p is ``rank_mod_p(divisors[q], p)``.
 
     A unit entry <d(b), a> = +-1 is eliminated by column operations inside
     d_q alone; the cells a and b then split off as an acyclic summand, so row
@@ -329,8 +222,6 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
         for b, column in enumerate(cols):
             entries = {}
             for a, v in column.items():
-                if p is not None:
-                    v %= p
                 if v:
                     entries[a] = v
                     rq.setdefault(a, {})[b] = v
@@ -350,7 +241,7 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
         cb = len(colb) - 1
         rq = row[q]
         for a, v in colb.items():
-            if p is not None or v == 1 or v == -1:
+            if v == 1 or v == -1:
                 heapq.heappush(heap, ((len(rq[a]) - 1) * cb, q, a, b))
 
     for q in col:
@@ -367,17 +258,14 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
             if not rx:
                 del rq[x]
         rowa = rq.pop(a, {})
-        inv = u if p is None else pow(u, -1, p)
         for c, lam in rowa.items():
             colc = cq[c]
             del colc[a]
-            factor = lam * inv if p is None else (lam * inv) % p
+            factor = lam * u    # u = +-1 is its own inverse
             for x, w in colb.items():
                 if x == a:
                     continue
                 nv = colc.get(x, 0) - factor * w
-                if p is not None:
-                    nv %= p
                 if nv:
                     colc[x] = nv
                     rq.setdefault(x, {})[c] = nv
@@ -416,7 +304,7 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
                         del down_r[y]
                     elif len(ry) == 1:
                         ((b2, v2),) = ry.items()
-                        if p is not None or v2 in (1, -1):
+                        if v2 in (1, -1):
                             heapq.heappush(heap, (0, q - 1, y, b2))
 
     while heap:
@@ -428,7 +316,7 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
         if colb is None:
             continue
         v = colb.get(a)
-        if v is None or (p is None and v not in (1, -1)):
+        if v not in (1, -1):
             continue
         true_cost = (len(row[q][a]) - 1) * (len(colb) - 1)
         if true_cost > cost and true_cost > 16:
@@ -443,8 +331,6 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
         ds: tuple[int, ...] = (1,) * r
         cq = col.get(q)
         if cq:
-            if p is not None:
-                raise AssertionError("mod-p reduction left a nonempty residue")
             rows_left = sorted({a for colb in cq.values() for a in colb})
             apos = {a: i for i, a in enumerate(rows_left)}
             dense = [[0] * len(cq) for _ in rows_left]
@@ -457,6 +343,28 @@ def complex_rank_divisors(boundaries, dims, p: int | None = None):
         ranks[q] = r
         divisors[q] = ds
     return ranks, divisors
+
+
+def rank_mod_p(divisors, p: int) -> int:
+    """Rank over Z/p of an integer matrix with Smith divisors ``divisors``.
+
+    U @ A @ V = D with U, V unimodular stays an equivalence mod p, so the
+    rank mod p counts the divisors that p does not divide.
+    """
+    return sum(1 for d in divisors if d % p)
+
+
+def sparse_rank_divisors(columns, nrows: int, p: int | None = None):
+    """Rank and invariant divisors of a sparse integer matrix.
+
+    columns is a sequence of {row: value} dicts, reduced as the one-map
+    complex d_1 by ``complex_rank_divisors``.  With p = None the result is
+    (rank over Q, divisors over Z); with a prime p it is (rank over Z/p, ()).
+    """
+    ranks, divisors = complex_rank_divisors({1: columns}, {0: nrows, 1: len(columns)})
+    if p is not None:
+        return rank_mod_p(divisors[1], p), ()
+    return ranks[1], divisors[1]
 
 
 def invariant_factors(divisors) -> tuple[int, ...]:
@@ -527,11 +435,3 @@ def is_prime(n: int) -> bool:
         d += 1
     return True
 
-
-def gcd_of(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g

@@ -164,16 +164,6 @@ class TorAlgebra:
                     dims[t] = dims.get(t, 0) + d
         return dims
 
-    def multidegree_dims(self) -> dict[int, dict[int, int]]:
-        out: dict[int, dict[int, int]] = {}
-        for imask in range(0, 1 << self.K.m):
-            pc = self.piece(imask)
-            per = {t: pc.cohomology_dim(t) for t in pc.total_degrees()
-                   if pc.cohomology_dim(t)}
-            if per:
-                out[imask] = per
-        return out
-
     def nonzero_multidegrees(self) -> list[int]:
         """Nonempty multidegrees carrying cohomology (all positive degree)."""
         out = []

@@ -102,6 +102,25 @@ def naive_snf_divisors(matrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
+def naive_rank_mod_p(matrix, p: int) -> int:
+    """Rank over Z/p by plain dense Gaussian elimination on the rows."""
+    A = [[x % p for x in row] for row in matrix]
+    ncols = len(A[0]) if A else 0
+    rank = 0
+    for j in range(ncols):
+        piv = next((i for i in range(rank, len(A)) if A[i][j]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][j], -1, p)
+        for i in range(len(A)):
+            if i != rank and A[i][j]:
+                c = A[i][j] * inv
+                A[i] = [(x - c * y) % p for x, y in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
 def minor_gcd_divisors(matrix) -> tuple[int, ...]:
     """Divisors from the determinant-divisor definition (small matrices only):
     d_k = gcd of all k x k minors, and the k-th invariant factor is

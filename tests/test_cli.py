@@ -131,6 +131,14 @@ class TestCommands:
                         "--budget-nodes", "5")
         assert code == 3 and out["status"] == "exhausted"
 
+    def test_crash_exit_4(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise AssertionError("soundness check failed")
+        monkeypatch.setattr("fatwedge.cli.certify_fwf_trivial", crash)
+        code, out = run(capsys, "certify", "c4")
+        assert code == 4
+        assert out == {"error": "AssertionError: soundness check failed"}
+
     def test_corpus_listing(self, capsys):
         code, out = run(capsys, "corpus")
         assert code == 0

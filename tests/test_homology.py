@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
                                 empty_complex, full_subcomplex, join,
                                 make_complex, simplex, verts, with_ground)
-from fatwedge.corpus import berglund_complex
+from fatwedge.corpus import berglund_complex, load
 from fatwedge.homology import (GF, QQ, ZZ, dK, hodim,
                                induced_map_on_homology, is_acyclic,
                                is_i_acyclic, is_zero_on_homology,
                                reduced_homology)
 
+from helpers import naive_rank_mod_p, random_complex
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -88,6 +89,28 @@ class TestReducedHomology:
             want = sum(p1.betti(a) * p2.betti(n - 1 - a)
                        for a in range(-1, n + 2))
             assert pj.betti(n) == want
+
+    def test_mod_p_betti_against_naive_ranks(self):
+        rng = random.Random(17)
+        cases = [random_complex(rng, max_m=6) for _ in range(40)]
+        cases.append(load("rp2_6").complex())
+        for K in cases:
+            for p in (2, 3, 5):
+                prof = reduced_homology(K, GF(p))
+                for q in range(-1, K.dim + 1):
+                    want = (len(K.faces(q)) - naive_rank_mod_p(_boundary(K, q), p)
+                            - naive_rank_mod_p(_boundary(K, q + 1), p))
+                    assert prof.betti(q) == want, (K, p, q)
+
+
+def _boundary(K, q):
+    """Dense d_q of the augmented simplicial chains, rows indexed by (q-1)-faces."""
+    rows = {f: i for i, f in enumerate(K.faces(q - 1))}
+    mat = [[0] * len(K.faces(q)) for _ in rows]
+    for j, f in enumerate(K.faces(q)):
+        for i, v in enumerate(verts(f)):
+            mat[rows[f ^ (1 << (v - 1))]][j] = (-1) ** i
+    return mat
 
 
 class TestAcyclicity:

@@ -3,9 +3,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.snf import (complex_rank_divisors, invariant_factors,
-                          smith_normal_form, sparse_rank_divisors)
+                          rank_mod_p, smith_normal_form, sparse_rank_divisors)
 
-from helpers import minor_gcd_divisors, naive_snf_divisors, random_matrix
+from helpers import (minor_gcd_divisors, naive_rank_mod_p, naive_snf_divisors,
+                     random_matrix)
 
 
 def matmul(a, b):
@@ -108,3 +109,18 @@ def test_mod_p_rank():
     cols = [{0: 2, 1: 6}, {0: 4, 1: 8}]
     assert sparse_rank_divisors(cols, 2, p=2)[0] == 0
     assert sparse_rank_divisors(cols, 2, p=3)[0] == 2
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+                min_size=1, max_size=6).filter(
+                    lambda rows: len({len(r) for r in rows}) == 1),
+       st.sampled_from([2, 3, 5]))
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_p_matches_naive_oracle(rows, p):
+    # entries -4..4 put multiples of 2 and 3 in the matrix, so non-unit
+    # divisors occur and the rank mod p can fall below the rank over Q
+    cols = [{i: rows[i][j] for i in range(len(rows)) if rows[i][j]}
+            for j in range(len(rows[0]))]
+    want = naive_rank_mod_p(rows, p)
+    assert sparse_rank_divisors(cols, len(rows), p)[0] == want
+    assert rank_mod_p(smith_normal_form(rows).divisors, p) == want
