@@ -30,7 +30,7 @@ from .criteria import (CollapseSequence, FillingCertificate, GcdOrder,
                        fill_search, filling_from_dual_shelling, is_cm,
                        is_dual_scm, is_dual_shellable, is_homology_fillable,
                        is_scm, shelling_search, spanning_facets,
-                       strong_gcd_search, weak_shelling_search)
+                       strong_gcd_search)
 from .certify import (GolodReport, SpacePoincare, TrivialityCertificate,
                       WedgeReport, bbcg_summands, certify_fwf_trivial,
                       golod_report)

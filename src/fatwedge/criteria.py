@@ -36,9 +36,6 @@ class ShellingOrder:
 class CollapseSequence:
     steps: tuple[tuple[int, int], ...]   # (free face, its unique coface)
 
-    def step_tuples(self):
-        return [(verts(s), verts(t)) for s, t in self.steps]
-
 
 @dataclass(frozen=True)
 class GcdOrder:
@@ -572,22 +569,3 @@ def is_weak_shelling(K: SimplicialComplex, order) -> bool:
                            for k in range(r)):
                     return False
     return True
-
-
-def weak_shelling_search(K: SimplicialComplex) -> SearchResult:
-    """Weak shelling of the facets, or none; implemented directly on the
-    facet family for cross-validation against the dual gcd search."""
-    facets = list(K.facets)
-    full = (1 << K.m) - 1
-    r = len(facets)
-    nodes = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            if facets[i] | facets[j] != full:
-                continue
-            nodes += 1
-            cap = facets[i] & facets[j]
-            if not any(k != i and k != j and cap & ~facets[k] == 0
-                       for k in range(r)):
-                return SearchResult("none", None, nodes)
-    return SearchResult("found", ShellingOrder(tuple(facets)), nodes)

@@ -12,8 +12,11 @@ off them.  Homology bases with representative cycles, needed for induced
 maps, use the dense transform-carrying Smith form on the small complexes
 where maps are actually taken.
 
-Everything here is a pure function of immutable inputs; results are memoized,
-and a parallel map over subsets in ``dK`` would be schedule-independent.
+A chain complex reduces itself over Z once, on first use, and keeps that
+reduction and the profile of every ring it is asked for; the simplicial chain
+complex of a complex is memoized, so every ring and every caller share one
+reduction.  The memos are safe to share between threads under the GIL (worst
+case a profile is computed twice with equal values).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .complexes import SimplicialComplex, full_subcomplex, verts
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
-                  rank_mod_p, smith_normal_form, sparse_rank_divisors)
+                  rank_mod_p, smith_normal_form)
 
 # Tally of boundary-squared verifications, one entry per chain complex or
 # Koszul piece constructed; the acceptance suite reads this to confirm the
@@ -85,15 +88,19 @@ class ChainComplex:
     basis[q] is the tuple of cell labels in degree q; boundary[q][j] maps the
     j-th cell of degree q to a {row: coeff} combination of degree q-1 cells.
     d(d(x)) = 0 is verified at construction and a violation raises.
+    The integral reduction and the profile of each ring are memoized on first
+    use by ``chain_homology``.
     """
 
-    __slots__ = ("basis", "boundary", "_index")
+    __slots__ = ("basis", "boundary", "_index", "_rank_divisors", "_profiles")
 
     def __init__(self, basis: Mapping[int, Sequence], boundary: Mapping[int, Sequence[dict]]):
         self.basis = {q: tuple(cells) for q, cells in basis.items() if len(cells) > 0}
         self.boundary = {q: tuple(cols) for q, cols in boundary.items()
                          if q in self.basis and (q - 1) in self.basis}
         self._index = None
+        self._rank_divisors = None
+        self._profiles: dict[CoefficientRing, HomologyProfile] = {}
         for q, cols in self.boundary.items():
             if len(cols) != len(self.basis[q]):
                 raise ValueError(f"boundary in degree {q} has wrong column count")
@@ -226,8 +233,13 @@ class HomologyProfile:
 
 def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
     """Reduced homology profile of an augmented chain complex."""
-    dims = {q: cc.dim(q) for q in cc.basis}
-    ranks, divisors = complex_rank_divisors(cc.boundary, dims)
+    prof = cc._profiles.get(ring)
+    if prof is not None:
+        return prof
+    if cc._rank_divisors is None:
+        cc._rank_divisors = complex_rank_divisors(
+            cc.boundary, {q: cc.dim(q) for q in cc.basis})
+    ranks, divisors = cc._rank_divisors
     if ring.kind == "Zp":
         ranks = {q: rank_mod_p(ds, ring.p) for q, ds in divisors.items()}
     free: dict[int, int] = {}
@@ -240,7 +252,8 @@ def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
             tors = [d for d in divisors.get(q + 1, ()) if d > 1]
             if tors:
                 torsion[q] = tors
-    return HomologyProfile(ring, free, torsion)
+    prof = cc._profiles[ring] = HomologyProfile(ring, free, torsion)
+    return prof
 
 
 @lru_cache(maxsize=None)
@@ -268,12 +281,10 @@ def simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
     return ChainComplex(basis, boundary)
 
 
-@lru_cache(maxsize=None)
 def reduced_homology(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:
     return chain_homology(simplicial_chain_complex(K), ring)
 
 
-@lru_cache(maxsize=None)
 def full_subcomplex_homology(K: SimplicialComplex, imask: int,
                              ring: CoefficientRing = ZZ) -> HomologyProfile:
     return reduced_homology(full_subcomplex(K, verts(imask)), ring)
@@ -303,7 +314,6 @@ def hodim(K: SimplicialComplex) -> int | None:
     return max(cands) if cands else None
 
 
-@lru_cache(maxsize=None)
 def dK(K: SimplicialComplex) -> int | None:
     """max over nonempty I of hodim(K_I); None when every K_I is acyclic."""
     best: int | None = None
@@ -462,7 +472,7 @@ class HomologyBasis:
         up = cc.boundary.get(q + 1, ())
         # kernel of d_q over the field
         kernel = _field_kernel(down, cc.dim(q - 1), n, p)
-        betti = len(kernel) - _field_rank(up, n, p)
+        betti = chain_homology(cc, ring).betti(q)
         span = _FieldSpan(n, p, betti)
         for col in up:
             vec = [0] * n
@@ -515,10 +525,6 @@ class HomologyBasis:
 
     def is_zero_class(self, chain: Mapping[int, int]) -> bool:
         return not any(self.class_coords(chain))
-
-
-def _field_rank(cols, nrows: int, p: int | None) -> int:
-    return sparse_rank_divisors(cols, nrows, p)[0] if cols else 0
 
 
 def _field_kernel(cols, nrows: int, ncols: int, p: int | None) -> list[list]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, full_subcomplex, join, subsets_of, verts
+from .complexes import SimplicialComplex, full_subcomplex, subsets_of, verts
 from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
                        chain_homology, full_subcomplex_homology)
 
@@ -192,11 +192,3 @@ def hochster_identity_check(K: SimplicialComplex, ring: CoefficientRing = ZZ,
         parts.append(full_subcomplex_homology(K, imask, ring).shifted(1))
     rhs = HomologyProfile.direct_sum(parts, ring)
     return HochsterReport(ring, lhs, rhs, lhs == rhs)
-
-
-def rmac_face_counts_of_join(K1: SimplicialComplex, K2: SimplicialComplex) -> bool:
-    """Product rule: |faces(RZ_{K1*K2})| = |faces(RZ_K1)| * |faces(RZ_K2)|."""
-    a = build_rmac(K1).total_faces()
-    b = build_rmac(K2).total_faces()
-    c = build_rmac(join(K1, K2), max_m=K1.m + K2.m, allow_large=True).total_faces()
-    return a * b == c

@@ -9,7 +9,9 @@ u_omega v_sigma . u_omega' v_sigma' = +-u_{omega+omega'} v_{sigma+sigma'}
 when the four supports are pairwise disjoint and sigma+sigma' is a face,
 else zero.  Both preserve the multidegree, so the algebra splits into one
 finite cochain complex per subset I of [m], whose basis is just the faces of
-K contained in I.
+K contained in I.  These pieces are integral, so each is built and reduced
+once per complex and shared by every field; only the cocycle bases used for
+products depend on the field.
 
 Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
@@ -70,13 +72,13 @@ class _Piece:
     """The multidegree-I part: a cochain complex on the faces of K inside I.
 
     Stored as a ChainComplex under q = -t so the homology machinery (which
-    lowers degree) applies verbatim; cohomology classes carry representative
-    cocycles for product computations.
+    lowers degree) applies verbatim.  The complex is integral, so one piece
+    serves every field: its integral reduction is shared, and cohomology
+    classes with representative cocycles are built per field, only where
+    products get computed.
     """
 
-    def __init__(self, K: SimplicialComplex, imask: int, ring: CoefficientRing):
-        self.imask = imask
-        self.ring = ring
+    def __init__(self, K: SimplicialComplex, imask: int):
         isize = imask.bit_count()
         faces = [s for s in K.all_faces() if s & ~imask == 0]
         by_t: dict[int, list[int]] = {}
@@ -112,10 +114,7 @@ class _Piece:
             boundary[-t] = cols
         self._cc = ChainComplex(basis, boundary)
         DD_ZERO_CHECKS["koszul_pieces"] += 1
-        self._bases: dict[int, HomologyBasis] = {}
-        # dimensions come from the fast sparse profile; explicit cocycle
-        # bases are built lazily, only where products get computed
-        self._profile = chain_homology(self._cc, ring)
+        self._bases: dict[tuple[CoefficientRing, int], HomologyBasis] = {}
 
     def total_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.by_t))
@@ -123,17 +122,20 @@ class _Piece:
     def basis_at(self, t: int) -> tuple[int, ...]:
         return self.by_t.get(t, ())
 
-    def cohomology_basis(self, t: int) -> HomologyBasis:
-        hb = self._bases.get(t)
+    def cohomology_basis(self, t: int, ring: CoefficientRing) -> HomologyBasis:
+        hb = self._bases.get((ring, t))
         if hb is None:
-            hb = HomologyBasis(self._cc, self.ring, -t)
-            if hb.rank != self._profile.betti(-t):
-                raise AssertionError("piece cohomology rank mismatch")
-            self._bases[t] = hb
+            hb = self._bases[ring, t] = HomologyBasis(self._cc, ring, -t)
         return hb
 
-    def cohomology_dim(self, t: int) -> int:
-        return self._profile.betti(-t)
+    def cohomology_dim(self, t: int, ring: CoefficientRing) -> int:
+        return chain_homology(self._cc, ring).betti(-t)
+
+
+@lru_cache(maxsize=None)
+def _piece_table(K: SimplicialComplex) -> dict[int, _Piece]:
+    """The Koszul pieces of K built so far, by multidegree, for every field."""
+    return {}
 
 
 class TorAlgebra:
@@ -144,13 +146,12 @@ class TorAlgebra:
             raise ValueError(f"Tor model needs a field, got {field}")
         self.K = K
         self.field = field
-        self._pieces: dict[int, _Piece] = {}
+        self._pieces = _piece_table(K)
 
     def piece(self, imask: int) -> _Piece:
         pc = self._pieces.get(imask)
         if pc is None:
-            pc = _Piece(self.K, imask, self.field)
-            self._pieces[imask] = pc
+            pc = self._pieces[imask] = _Piece(self.K, imask)
         return pc
 
     def dimensions(self) -> dict[int, int]:
@@ -159,7 +160,7 @@ class TorAlgebra:
         for imask in range(0, 1 << self.K.m):
             pc = self.piece(imask)
             for t in pc.total_degrees():
-                d = pc.cohomology_dim(t)
+                d = pc.cohomology_dim(t, self.field)
                 if d:
                     dims[t] = dims.get(t, 0) + d
         return dims
@@ -169,7 +170,7 @@ class TorAlgebra:
         out = []
         for imask in range(1, 1 << self.K.m):
             pc = self.piece(imask)
-            if any(pc.cohomology_dim(t) for t in pc.total_degrees()):
+            if any(pc.cohomology_dim(t, self.field) for t in pc.total_degrees()):
                 out.append(imask)
         out.sort(key=verts)
         return out
@@ -213,62 +214,9 @@ class TorAlgebra:
         prod = {i: v for i, v in prod.items() if v}
         if not prod:
             return True
-        return target.cohomology_basis(tt).is_zero_class(prod)
-
-    def verify_leibniz(self, e1: TorBasisElement, e2: TorBasisElement) -> bool:
-        """d(xy) = (dx)y + (-1)^deg(x) x(dy) on basis monomials."""
-        dxy = self._d_of_product(e1, e2)
-        lhs = _sum_terms(dxy)
-        rhs: dict[TorBasisElement, int] = {}
-        for c, e in self._d(e1):
-            for c2, ee in _basis_product(self.K, e, e2):
-                rhs[ee] = rhs.get(ee, 0) + c * c2
-        sgn = -1 if e1.total_degree % 2 else 1
-        for c, e in self._d(e2):
-            for c2, ee in _basis_product(self.K, e1, e):
-                rhs[ee] = rhs.get(ee, 0) + sgn * c * c2
-        return lhs == {k: v for k, v in rhs.items() if v}
-
-    def _d(self, e: TorBasisElement) -> list[tuple[int, TorBasisElement]]:
-        out = []
-        k = 0
-        rem = e.omega
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            s2 = e.sigma | low
-            if self.K.has_face(s2):
-                out.append((1 if k % 2 == 0 else -1,
-                            TorBasisElement(e.omega ^ low, s2)))
-            k += 1
-        return out
-
-    def _d_of_product(self, e1, e2) -> list[tuple[int, TorBasisElement]]:
-        out = []
-        for c, e in _basis_product(self.K, e1, e2):
-            for c2, ee in self._d(e):
-                out.append((c * c2, ee))
-        return out
+        return target.cohomology_basis(tt, self.field).is_zero_class(prod)
 
 
-def _basis_product(K, e1: TorBasisElement, e2: TorBasisElement):
-    if e1.omega & e2.omega or e1.sigma & e2.sigma:
-        return []
-    om = e1.omega | e2.omega
-    sg = e1.sigma | e2.sigma
-    if om & sg or not K.has_face(sg):
-        return []
-    return [(_merge_sign(e1.omega, e2.omega), TorBasisElement(om, sg))]
-
-
-def _sum_terms(terms) -> dict:
-    acc: dict[TorBasisElement, int] = {}
-    for c, e in terms:
-        acc[e] = acc.get(e, 0) + c
-    return {k: v for k, v in acc.items() if v}
-
-
-@lru_cache(maxsize=None)
 def build_tor(K: SimplicialComplex, field: CoefficientRing) -> TorAlgebra:
     return TorAlgebra(K, field)
 
@@ -338,17 +286,17 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
                 continue
             pj = alg.piece(jmask)
             for t1 in pi.total_degrees():
-                n1 = pi.cohomology_dim(t1)
+                n1 = pi.cohomology_dim(t1, field)
                 if not n1:
                     continue
                 for t2 in pj.total_degrees():
-                    n2 = pj.cohomology_dim(t2)
+                    n2 = pj.cohomology_dim(t2, field)
                     if not n2:
                         continue
-                    if alg.piece(imask | jmask).cohomology_dim(t1 + t2) == 0:
+                    if alg.piece(imask | jmask).cohomology_dim(t1 + t2, field) == 0:
                         continue
-                    hb1 = pi.cohomology_basis(t1)
-                    hb2 = pj.cohomology_basis(t2)
+                    hb1 = pi.cohomology_basis(t1, field)
+                    hb2 = pj.cohomology_basis(t2, field)
                     for g1 in range(n1):
                         for g2 in range(n2):
                             if not alg.product_class_is_zero(
@@ -421,7 +369,6 @@ def _join_vertex_map(imask: int, jmask: int) -> dict[int, int]:
     return vmap
 
 
-@lru_cache(maxsize=None)
 def torsion_primes(K: SimplicialComplex) -> tuple[int, ...]:
     """Primes dividing torsion of any full-subcomplex integral homology.
 

@@ -12,7 +12,10 @@ import itertools
 import random
 from math import gcd
 
-from fatwedge.complexes import make_complex, verts
+from fatwedge.complexes import join, make_complex, verts
+from fatwedge.criteria import SearchResult, ShellingOrder
+from fatwedge.rmac import build_rmac
+from fatwedge.tor import TorBasisElement, _merge_sign
 
 
 def random_complex(rng: random.Random, max_m: int = 7, min_m: int = 1):
@@ -216,3 +219,78 @@ def reference_shelling_search(K, budget: int):
     if extend(frozenset(), 0):
         return "found", budget - left, tuple(order)
     return ("exhausted" if budget_hit else "none"), budget - left, None
+
+
+def weak_shelling_search(K) -> SearchResult:
+    """Weak shelling of the facets, or none; implemented directly on the
+    facet family for cross-validation against the dual gcd search."""
+    facets = list(K.facets)
+    full = (1 << K.m) - 1
+    r = len(facets)
+    nodes = 0
+    for i in range(r):
+        for j in range(i + 1, r):
+            if facets[i] | facets[j] != full:
+                continue
+            nodes += 1
+            cap = facets[i] & facets[j]
+            if not any(k != i and k != j and cap & ~facets[k] == 0
+                       for k in range(r)):
+                return SearchResult("none", None, nodes)
+    return SearchResult("found", ShellingOrder(tuple(facets)), nodes)
+
+
+def rmac_face_counts_of_join(K1, K2) -> bool:
+    """Product rule: |faces(RZ_{K1*K2})| = |faces(RZ_K1)| * |faces(RZ_K2)|."""
+    a = build_rmac(K1).total_faces()
+    b = build_rmac(K2).total_faces()
+    c = build_rmac(join(K1, K2), max_m=K1.m + K2.m, allow_large=True).total_faces()
+    return a * b == c
+
+
+def verify_leibniz(K, e1: TorBasisElement, e2: TorBasisElement) -> bool:
+    """d(xy) = (dx)y + (-1)^deg(x) x(dy) on basis monomials of the Koszul
+    model of K, computed monomial by monomial."""
+    lhs = _sum_terms((c * c2, ee) for c, e in basis_product(K, e1, e2)
+                     for c2, ee in _d(K, e))
+    rhs: dict[TorBasisElement, int] = {}
+    for c, e in _d(K, e1):
+        for c2, ee in basis_product(K, e, e2):
+            rhs[ee] = rhs.get(ee, 0) + c * c2
+    sgn = -1 if e1.total_degree % 2 else 1
+    for c, e in _d(K, e2):
+        for c2, ee in basis_product(K, e1, e):
+            rhs[ee] = rhs.get(ee, 0) + sgn * c * c2
+    return lhs == {k: v for k, v in rhs.items() if v}
+
+
+def _d(K, e: TorBasisElement) -> list[tuple[int, TorBasisElement]]:
+    out = []
+    k = 0
+    rem = e.omega
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        s2 = e.sigma | low
+        if K.has_face(s2):
+            out.append((1 if k % 2 == 0 else -1,
+                        TorBasisElement(e.omega ^ low, s2)))
+        k += 1
+    return out
+
+
+def basis_product(K, e1: TorBasisElement, e2: TorBasisElement):
+    if e1.omega & e2.omega or e1.sigma & e2.sigma:
+        return []
+    om = e1.omega | e2.omega
+    sg = e1.sigma | e2.sigma
+    if om & sg or not K.has_face(sg):
+        return []
+    return [(_merge_sign(e1.omega, e2.omega), TorBasisElement(om, sg))]
+
+
+def _sum_terms(terms) -> dict:
+    acc: dict[TorBasisElement, int] = {}
+    for c, e in terms:
+        acc[e] = acc.get(e, 0) + c
+    return {k: v for k, v in acc.items() if v}

@@ -23,7 +23,7 @@ from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ, dK, is_acyclic,
 from fatwedge.rmac import (build_rmac, cubical_chain_complex, cubical_homology,
                            hochster_identity_check)
 from fatwedge.snf import smith_normal_form
-from fatwedge.tor import (TorAlgebra, golod_via_join, golod_via_tor,
+from fatwedge.tor import (_Piece, golod_via_join, golod_via_tor,
                           hochster_tor_check)
 
 from helpers import (naive_snf_divisors, random_complex, random_graph,
@@ -223,8 +223,9 @@ def test_criterion_13_boundary_squared_zero_everywhere():
     t0 = time.monotonic()
     # construction-time verification raises on any violation, so building
     # without an error means d^2 = 0 held; build enough complexes here that
-    # the checks provably ran, then re-verify them independently.  The memo
-    # is bypassed so that every call constructs a new chain complex.
+    # the checks provably ran, then re-verify them independently.  The memos
+    # are bypassed so that every call constructs a new chain complex or
+    # Koszul piece.
     chain_before = DD_ZERO_CHECKS["chain_complexes"]
     rng = random.Random(1013)
     samples = [simplicial_chain_complex.__wrapped__(random_complex(rng, max_m=6))
@@ -232,8 +233,9 @@ def test_criterion_13_boundary_squared_zero_everywhere():
     assert DD_ZERO_CHECKS["chain_complexes"] - chain_before > 100
     koszul_before = DD_ZERO_CHECKS["koszul_pieces"]
     K7 = make_complex(7, [[1, 2, 3], [3, 4, 5], [5, 6, 7], [7, 1], [2, 6]])
-    TorAlgebra(K7, QQ).dimensions()   # one piece per subset of [7]
+    pieces = [_Piece(K7, imask) for imask in range(1 << 7)]
     assert DD_ZERO_CHECKS["koszul_pieces"] - koszul_before > 100
+    samples.extend(pc._cc for pc in pieces)
     samples.append(cubical_chain_complex(build_rmac(C4)))
     for cc in samples:
         for q, cols in cc.boundary.items():

@@ -7,10 +7,12 @@ from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
                                 empty_complex, full_subcomplex, join,
                                 make_complex, simplex, verts, with_ground)
 from fatwedge.corpus import berglund_complex, load
-from fatwedge.homology import (GF, QQ, ZZ, dK, hodim,
-                               induced_map_on_homology, is_acyclic,
+from fatwedge import homology
+from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, chain_homology, dK,
+                               hodim, induced_map_on_homology, is_acyclic,
                                is_i_acyclic, is_zero_on_homology,
-                               reduced_homology)
+                               reduced_homology, simplicial_chain_complex)
+from fatwedge.snf import complex_rank_divisors
 
 from helpers import naive_rank_mod_p, random_complex
 from test_complexes import complexes
@@ -101,6 +103,45 @@ class TestReducedHomology:
                     want = (len(K.faces(q)) - naive_rank_mod_p(_boundary(K, q), p)
                             - naive_rank_mod_p(_boundary(K, q + 1), p))
                     assert prof.betti(q) == want, (K, p, q)
+
+
+class TestOneReductionPerComplex:
+    # RP^2 on six vertices with a triangle hung on the edge {1, 2}: Z/2 in
+    # H_1, so the four rings give four different profiles
+    K = make_complex(7, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5], [2, 5, 6],
+                         [2, 3, 6], [1, 3, 6], [1, 4, 6], [1, 2, 4], [4, 5, 6],
+                         [1, 2, 7]])
+    rings = (ZZ, QQ, GF(2), GF(3))
+
+    def test_every_ring_shares_one_reduction(self, monkeypatch):
+        fresh = simplicial_chain_complex.__wrapped__
+        want = {ring: chain_homology(fresh(self.K), ring) for ring in self.rings}
+        assert want[ZZ].torsion_at(1) == (2,) and want[GF(2)].betti(2) == 1
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return complex_rank_divisors(*args)
+
+        monkeypatch.setattr(homology, "complex_rank_divisors", counted)
+        for order in (self.rings, self.rings[::-1]):
+            calls.clear()
+            cc = fresh(self.K)
+            for ring in order + order:
+                assert chain_homology(cc, ring) == want[ring]
+            assert len(calls) == 1
+
+    def test_field_basis_checks_its_rank(self, monkeypatch):
+        # a kernel routine that loses a cycle must trip the rank check
+        # against the integral reduction; in both cases below the cycles
+        # are a single homology generator and there are no boundaries
+        lossy = homology._field_kernel
+        monkeypatch.setattr(homology, "_field_kernel",
+                            lambda *args: lossy(*args)[:-1])
+        for K, ring, q in ((self.K, GF(2), 2), (C4, QQ, 1)):
+            cc = simplicial_chain_complex.__wrapped__(K)
+            with pytest.raises(AssertionError, match="rank mismatch"):
+                HomologyBasis(cc, ring, q)
 
 
 def _boundary(K, q):

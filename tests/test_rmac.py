@@ -7,10 +7,9 @@ from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
                                 make_complex, simplex)
 from fatwedge.homology import GF, QQ, ZZ
 from fatwedge.rmac import (build_rmac, cubical_chain_complex, cubical_homology,
-                           hochster_identity_check, rmac_face_counts_of_join,
-                           rmac_filtration)
+                           hochster_identity_check, rmac_filtration)
 
-from helpers import random_complex
+from helpers import random_complex, rmac_face_counts_of_join
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])

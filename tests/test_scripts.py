@@ -1,0 +1,24 @@
+"""Smoke tests for the command-line scripts under scripts/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_random_screen_runs_and_oracles_agree():
+    proc = _run_script("random_screen.py", "--count", "5", "--max-m", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert "screened 5 complexes" in proc.stdout
+    assert "Golod oracle disagreements:       0" in proc.stdout
+    assert "subcomplex-sum identity failures: 0" in proc.stdout

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from fatwedge.complexes import (boundary_of_simplex, empty_complex,
                                 make_complex, simplex)
 from fatwedge.corpus import berglund_complex
-from fatwedge.homology import GF, QQ, ZZ
+from fatwedge.certify import golod_report
+from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ
 from fatwedge.tor import (TorBasisElement, build_tor, golod_via_join,
                           golod_via_tor, hochster_tor_check, tor_dimensions,
                           torsion_primes)
 
-from helpers import random_complex
+from helpers import basis_product, random_complex, verify_leibniz
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -93,9 +94,8 @@ class TestDifferentialAlgebra:
         o2, s2 = o2 & full, s2 & full & ~o2
         if not (K.has_face(s1) and K.has_face(s2)):
             return
-        alg = build_tor(K, QQ)
-        assert alg.verify_leibniz(TorBasisElement(o1, s1),
-                                  TorBasisElement(o2, s2))
+        assert verify_leibniz(K, TorBasisElement(o1, s1),
+                              TorBasisElement(o2, s2))
 
 
 class TestGradedCommutativity:
@@ -103,15 +103,14 @@ class TestGradedCommutativity:
            st.integers(0, 255), st.integers(0, 255))
     @settings(max_examples=60, deadline=None)
     def test_basis_products_commute_up_to_sign(self, K, o1, s1, o2, s2):
-        from fatwedge.tor import _basis_product
         full = (1 << K.m) - 1
         o1, s1 = o1 & full, s1 & full & ~o1
         o2, s2 = o2 & full, s2 & full & ~o2
         if not (K.has_face(s1) and K.has_face(s2)):
             return
         e1, e2 = TorBasisElement(o1, s1), TorBasisElement(o2, s2)
-        xy = _basis_product(K, e1, e2)
-        yx = _basis_product(K, e2, e1)
+        xy = basis_product(K, e1, e2)
+        yx = basis_product(K, e2, e1)
         assert bool(xy) == bool(yx)
         if xy:
             sgn = -1 if (e1.total_degree * e2.total_degree) % 2 else 1
@@ -154,6 +153,18 @@ class TestGolodOracles:
         B = berglund_complex()
         assert golod_via_tor(B, GF(2)).golod
         assert golod_via_join(B, GF(2)).golod
+
+    def test_golod_report_builds_each_piece_once(self):
+        # the Koszul pieces are integral, so Q, Z/2 and Z/3 share one piece
+        # per nonempty multidegree, and a second report builds none
+        K = make_complex(7, [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7],
+                             [5, 6, 1], [6, 7, 2], [7, 1, 3]])
+        before = DD_ZERO_CHECKS["koszul_pieces"]
+        report = golod_report(K)
+        assert report.primes == (2, 3)
+        assert DD_ZERO_CHECKS["koszul_pieces"] - before == 2 ** 7 - 1
+        assert golod_report(K) == report
+        assert DD_ZERO_CHECKS["koszul_pieces"] - before == 2 ** 7 - 1
 
     def test_oracles_agree_on_random_complexes(self):
         rng = random.Random(4)
