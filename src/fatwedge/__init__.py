@@ -20,7 +20,7 @@ from .homology import (GF, QQ, ZZ, ChainComplex, CoefficientRing,
                        is_acyclic, is_i_acyclic, is_zero_on_homology,
                        reduced_homology)
 from .snf import SNFResult, smith_normal_form
-from .rmac import (CubeFace, CubicalComplex, build_rmac, cubical_homology,
+from .rmac import (CubicalComplex, build_rmac, cubical_homology,
                    hochster_identity_check, rmac_filtration)
 from .tor import (TorAlgebra, TorBasisElement, build_tor, golod_via_join,
                   golod_via_tor, hochster_tor_check, tor_dimensions,

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .complexes import (SimplicialComplex, alexander_dual, full_subcomplex,
                         generated_subcomplex, is_chordal, link, mask_of,
                         minimal_nonfaces, verts)
-from .homology import (CoefficientRing, GF, ZZ, HomologyProfile, is_i_acyclic,
-                       reduced_homology)
+from .homology import (CoefficientRing, GF, ZZ, HomologyProfile,
+                       build_simplicial_chain_complex, chain_homology,
+                       is_i_acyclic, reduced_homology)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -139,7 +140,11 @@ def shelling_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
         failed.add(placed_set)
         return False
 
-    if extend(frozenset(), 0):
+    found = extend(frozenset(), 0)
+    # the recursive closure refers to itself, a cycle that would keep the
+    # failed-set memo alive until the next cyclic garbage collection
+    del extend
+    if found:
         return SearchResult("found", ShellingOrder(tuple(order)), budget - b.left)
     status = "exhausted" if budget_hit else "none"
     return SearchResult(status, None, budget - b.left)
@@ -286,7 +291,9 @@ def collapse_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
         failed.add(faces)
         return False
 
-    if dfs(start):
+    found = dfs(start)
+    del dfs    # break the closure's self-reference, as in shelling_search
+    if found:
         return SearchResult("found", CollapseSequence(tuple(steps)), budget - b.left)
     return SearchResult("exhausted" if budget_hit else "none", None, budget - b.left)
 
@@ -471,7 +478,12 @@ def _component_fill_report(L: SimplicialComplex, vertices, max_subsets) -> Compo
     for size in range(0, r + 1):
         for combo in itertools.combinations(range(r), size):
             chosen = tuple(mnf[i] for i in combo)
-            prof = reduced_homology(_filled(L, chosen), ZZ)
+            if chosen:
+                # a filling is asked about once: keep it out of the memo
+                chains = build_simplicial_chain_complex(_filled(L, chosen))
+                prof = chain_homology(chains, ZZ)
+            else:
+                prof = reduced_homology(L, ZZ)
             if not prof.free:
                 rank_zero.append((chosen, prof))
     if not rank_zero:

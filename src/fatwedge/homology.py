@@ -15,8 +15,10 @@ where maps are actually taken.
 A chain complex reduces itself over Z once, on first use, and keeps that
 reduction and the profile of every ring it is asked for; the simplicial chain
 complex of a complex is memoized, so every ring and every caller share one
-reduction.  The memos are safe to share between threads under the GIL (worst
-case a profile is computed twice with equal values).
+reduction.  ``build_simplicial_chain_complex`` builds one without the memo,
+for complexes that are asked about once.  The memos are safe to share
+between threads under the GIL (worst case a profile is computed twice with
+equal values).
 """
 
 from __future__ import annotations
@@ -256,9 +258,12 @@ def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
     return prof
 
 
-@lru_cache(maxsize=None)
-def simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
-    """Augmented simplicial chains; d[v0..vq] = sum (-1)^i [v0..^vi..vq]."""
+def build_simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
+    """Augmented simplicial chains; d[v0..vq] = sum (-1)^i [v0..^vi..vq].
+
+    Not memoized: for complexes that are asked about once, such as the
+    fillings a search tries, so that they do not stay in the shared memo.
+    """
     basis: dict[int, tuple[int, ...]] = {}
     for d in range(-1, K.dim + 1):
         cells = K.faces(d)
@@ -279,6 +284,11 @@ def simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
             cols.append(col)
         boundary[d] = cols
     return ChainComplex(basis, boundary)
+
+
+#: the one memo of simplicial chains (with their reductions), shared by every
+#: ring and every caller
+simplicial_chain_complex = lru_cache(maxsize=None)(build_simplicial_chain_complex)
 
 
 def reduced_homology(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:

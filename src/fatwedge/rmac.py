@@ -14,27 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, full_subcomplex, subsets_of, verts
+from .complexes import SimplicialComplex, subsets_of
 from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
                        chain_homology, full_subcomplex_homology)
 
 #: 3^m faces add up fast; refuse larger ground sets unless told otherwise.
 DEFAULT_MAX_M = 12
-
-
-@dataclass(frozen=True)
-class CubeFace:
-    """Cube face C_{sigma <= tau}; free coordinates are tau - sigma."""
-
-    sigma: int
-    tau: int
-
-    @property
-    def dim(self) -> int:
-        return (self.tau & ~self.sigma).bit_count()
-
-    def vertices(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return verts(self.sigma), verts(self.tau)
 
 
 @dataclass
@@ -51,11 +36,6 @@ class CubicalComplex:
 
     def total_faces(self) -> int:
         return sum(len(cells) for cells in self.faces.values())
-
-    def __contains__(self, st: tuple[int, int]) -> bool:
-        s, t = st
-        d = (t & ~s).bit_count()
-        return st in self.faces.get(d, ())
 
     def is_boundary_closed(self) -> bool:
         for d, cells in self.faces.items():
@@ -126,7 +106,8 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
     basis: dict[int, tuple] = {-1: (0,)}
     for d, cells in C.faces.items():
         basis[d] = cells
-    index = {d: {cell: i for i, cell in enumerate(cells)}
+    m = C.m
+    index = {d: {(s << m) | t: i for i, (s, t) in enumerate(cells)}
              for d, cells in C.faces.items()}
     boundary: dict[int, list[dict[int, int]]] = {}
     if 0 in C.faces:
@@ -137,21 +118,23 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
         low = index[d - 1]
         cols = []
         for s, t in C.faces[d]:
+            # the facets (s, t - b) and (s + b, t) differ for every free b,
+            # so no two terms of the column land on the same row
             col: dict[int, int] = {}
+            key = (s << m) | t
             free = t & ~s
-            k = 0
+            sign = 1
             while free:
                 b = free & -free
                 free ^= b
-                sign = 1 if k % 2 == 0 else -1
-                i1 = low.get((s, t ^ b))
-                i2 = low.get((s | b, t))
+                i1 = low.get(key ^ b)
+                i2 = low.get(key | (b << m))
                 if i1 is None or i2 is None:
                     raise ValueError("cubical complex is not boundary-closed")
-                col[i1] = col.get(i1, 0) + sign
-                col[i2] = col.get(i2, 0) - sign
-                k += 1
-            cols.append({i: v for i, v in col.items() if v})
+                col[i1] = sign
+                col[i2] = -sign
+                sign = -sign
+            cols.append(col)
         boundary[d] = cols
     cc = ChainComplex(basis, boundary)
     C._chain = cc

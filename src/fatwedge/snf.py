@@ -6,14 +6,18 @@ transform-carrying reduction used where kernel/cokernel bases are needed
 overflow.  ``complex_rank_divisors`` is the one sparse eliminator, over Z and
 divisors-only, for the bulk homology computations, where boundary matrices
 are large but almost all pivots are units: unit pivots are eliminated and
-split off, and whatever remains is handed to the dense routine.  Field ranks
-are read off its divisors: over Q the rank is the number of divisors, over
-Z/p it is ``rank_mod_p``.  ``sparse_rank_divisors`` runs it on one matrix.
+split off, and whatever remains is handed to the dense routine.  Pivots with
+no fill-in (a unit alone in its column or row) run first from a FIFO
+worklist, the coreduction cascade of Mrozek and Batko; only what survives it
+goes through a Markowitz heap.  Field ranks are read off its divisors: over
+Q the rank is the number of divisors, over Z/p it is ``rank_mod_p``.
+``sparse_rank_divisors`` runs it on one matrix.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -211,8 +215,19 @@ def complex_rank_divisors(boundaries, dims):
     d_q alone; the cells a and b then split off as an acyclic summand, so row
     b of d_{q+1} and column a of d_{q-1} are deleted outright (their entries
     vanish in the adjusted basis because d^2 = 0).  This preserves all ranks
-    and the homology, and on cell-complex boundary matrices it cascades until
-    only a small non-unit residue is left for the dense Smith reduction.
+    and the homology.
+
+    Pivots come in two phases.  A unit entry that is alone in its column or
+    in its row costs no fill-in; such zero-cost pivots go on a FIFO
+    worklist, seeded with every one present at the start (on an augmented
+    complex, the augmentation columns of the vertices), and each elimination
+    appends the singletons it leaves behind.  On cell complexes this is the
+    coreduction cascade of Mrozek and Batko ("Coreduction homology
+    algorithm", Discrete Comput. Geom. 41, 2009) together with ordinary free
+    face collapses.  Only the columns that survive the worklist fill a
+    Markowitz heap keyed by (r - 1)(c - 1); after every heap pivot the
+    worklist is drained again.  Whatever remains, typically a small non-unit
+    residue, is handed to the dense Smith reduction.
     """
     col: dict[int, dict[int, dict[int, int]]] = {}
     row: dict[int, dict[int, dict[int, int]]] = {}
@@ -231,22 +246,29 @@ def complex_rank_divisors(boundaries, dims):
             col[q] = cq
             row[q] = rq
     pivots: dict[int, int] = {q: 0 for q in boundaries}
+    work: deque[tuple[int, int, int]] = deque()
     heap: list[tuple[int, int, int, int]] = []
+    in_heap_phase = False
 
     def push_col(q: int, b: int) -> None:
-        cq = col.get(q)
-        if cq is None or b not in cq:
-            return
-        colb = cq[b]
+        colb = col[q][b]
         cb = len(colb) - 1
         rq = row[q]
         for a, v in colb.items():
             if v == 1 or v == -1:
                 heapq.heappush(heap, ((len(rq[a]) - 1) * cb, q, a, b))
 
-    for q in col:
-        for b in col[q]:
-            push_col(q, b)
+    def offer_col(q: int, b: int, colb: dict[int, int]) -> None:
+        if len(colb) == 1:
+            ((a, v),) = colb.items()
+            if v == 1 or v == -1:
+                work.append((q, a, b))
+
+    def offer_row(q: int, a: int, rowa: dict[int, int]) -> None:
+        if len(rowa) == 1:
+            ((b, v),) = rowa.items()
+            if v == 1 or v == -1:
+                work.append((q, a, b))
 
     def eliminate(q: int, a: int, b: int, u: int) -> None:
         pivots[q] += 1
@@ -257,6 +279,8 @@ def complex_rank_divisors(boundaries, dims):
             del rx[b]
             if not rx:
                 del rq[x]
+            elif x != a:
+                offer_row(q, x, rx)
         rowa = rq.pop(a, {})
         for c, lam in rowa.items():
             colc = cq[c]
@@ -275,10 +299,12 @@ def complex_rank_divisors(boundaries, dims):
                     del rx[c]
                     if not rx:
                         del rq[x]
-            if colc:
+            if not colc:
+                del cq[c]
+            elif in_heap_phase:
                 push_col(q, c)
             else:
-                del cq[c]
+                offer_col(q, c, colc)
         # adjacent matrices: pure deletions
         up_r = row.get(q + 1)
         if up_r is not None:
@@ -290,8 +316,8 @@ def complex_rank_divisors(boundaries, dims):
                     del ce[b]
                     if not ce:
                         del up_c[e]
-                    elif len(ce) == 1:
-                        push_col(q + 1, e)
+                    else:
+                        offer_col(q + 1, e, ce)
         down_c = col.get(q - 1)
         if down_c is not None:
             ca = down_c.pop(a, None)
@@ -302,17 +328,35 @@ def complex_rank_divisors(boundaries, dims):
                     del ry[a]
                     if not ry:
                         del down_r[y]
-                    elif len(ry) == 1:
-                        ((b2, v2),) = ry.items()
-                        if v2 in (1, -1):
-                            heapq.heappush(heap, (0, q - 1, y, b2))
+                    else:
+                        offer_row(q - 1, y, ry)
 
+    def drain() -> None:
+        while work:
+            q, a, b = work.popleft()
+            colb = col[q].get(b)
+            if colb is None:
+                continue
+            v = colb.get(a)
+            if v not in (1, -1) or (len(colb) > 1 and len(row[q][a]) > 1):
+                continue
+            eliminate(q, a, b, v)
+
+    # the zero-cost pivots present at the start: on an augmented complex the
+    # augmentation columns of the vertices, and the free faces (one-entry rows)
+    for q in sorted(col):
+        for b, colb in col[q].items():
+            offer_col(q, b, colb)
+        for a, rowa in row[q].items():
+            offer_row(q, a, rowa)
+    drain()
+    in_heap_phase = True
+    for q, cq in col.items():
+        for b in cq:
+            push_col(q, b)
     while heap:
         cost, q, a, b = heapq.heappop(heap)
-        cq = col.get(q)
-        if cq is None:
-            continue
-        colb = cq.get(b)
+        colb = col[q].get(b)
         if colb is None:
             continue
         v = colb.get(a)
@@ -323,6 +367,7 @@ def complex_rank_divisors(boundaries, dims):
             heapq.heappush(heap, (true_cost, q, a, b))
             continue
         eliminate(q, a, b, v)
+        drain()
 
     ranks: dict[int, int] = {}
     divisors: dict[int, tuple[int, ...]] = {}

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
                                is_shelling, is_strong_gcd_order,
                                is_weak_shelling, shelling_search,
                                spanning_facets, strong_gcd_search)
-from fatwedge.homology import QQ, ZZ, is_acyclic
+from fatwedge.homology import QQ, ZZ, is_acyclic, simplicial_chain_complex
 
 from helpers import (random_complex, reference_shelling_ok,
                      reference_shelling_search, weak_shelling_search)
@@ -145,6 +146,20 @@ class TestCollapse:
                 assert is_acyclic(K, ZZ)
 
 
+def test_searches_leave_no_reference_cycles():
+    # a recursive search closure refers to itself; unless the cycle is
+    # broken, its failed-state memo lives until the next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        for search in (shelling_search, collapse_search):
+            for K in (RP2, boundary_of_simplex(4)):
+                search(K, budget=2000)
+                assert gc.collect() == 0, (search.__name__, K)
+    finally:
+        gc.enable()
+
+
 class TestFill:
     def test_boundary_fills_to_simplex(self):
         for m in (2, 3, 4):
@@ -192,6 +207,15 @@ class TestHomologyFillable:
     def test_disconnected_components_handled(self):
         verdict = is_homology_fillable(TWO_EDGES)
         assert verdict.certified and len(verdict.components) == 2
+
+    def test_fillings_stay_out_of_the_chain_memo(self):
+        # the pentagon has r = 5 minimal non-faces, so 2^5 fillings are
+        # tried; they are asked about once and must not be memoized
+        pentagon = make_complex(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
+        simplicial_chain_complex.cache_clear()
+        verdict = is_homology_fillable(pentagon)
+        assert verdict.status == "refuted"
+        assert simplicial_chain_complex.cache_info().currsize < 2 ** 5
 
 
 class TestGcdAndWeakShelling:

@@ -1,13 +1,15 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
-                                make_complex, simplex)
-from fatwedge.homology import GF, QQ, ZZ
-from fatwedge.rmac import (build_rmac, cubical_chain_complex, cubical_homology,
-                           hochster_identity_check, rmac_filtration)
+                                make_complex, simplex, skeleton_of_simplex)
+from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ, ChainComplex
+from fatwedge.rmac import (CubicalComplex, build_rmac, cubical_chain_complex,
+                           cubical_homology, hochster_identity_check,
+                           rmac_filtration)
 
 from helpers import random_complex, rmac_face_counts_of_join
 from test_complexes import complexes
@@ -120,6 +122,35 @@ class TestHomology:
         assert C.is_boundary_closed()
         cubical_chain_complex(C)  # raises if boundary squared is nonzero
 
+    def test_missing_facet_is_reported_not_a_key_error(self):
+        full = build_rmac(C4)
+        for d in (0, 1):
+            faces = dict(full.faces)
+            faces[d] = faces[d][1:]
+            C = CubicalComplex(4, faces, provenance="C4 minus a face")
+            assert not C.is_boundary_closed()
+            with pytest.raises(ValueError, match="not boundary-closed"):
+                cubical_chain_complex(C)
+
+    def test_chain_complex_runs_one_dd_check(self):
+        C = build_rmac(C4)
+        before = DD_ZERO_CHECKS["chain_complexes"]
+        cubical_chain_complex(C)
+        assert DD_ZERO_CHECKS["chain_complexes"] - before == 1
+        cubical_chain_complex(C)    # memoized on C: no second build
+        assert DD_ZERO_CHECKS["chain_complexes"] - before == 1
+
+    def test_flipped_sign_fails_dd_check(self):
+        cc = cubical_chain_complex(build_rmac(C4))
+        for q in (1, 2):
+            boundary = {d: list(cols) for d, cols in cc.boundary.items()}
+            col = dict(boundary[q][0])
+            i = next(iter(col))
+            col[i] = -col[i]
+            boundary[q][0] = col
+            with pytest.raises(ValueError, match="d\\^2 != 0"):
+                ChainComplex(cc.basis, boundary)
+
 
 class TestProductRule:
     def test_face_counts_multiply(self):
@@ -168,3 +199,20 @@ class TestHochsterIdentity:
             K = random_complex(rng, max_m=5)
             for ring in (ZZ, GF(2), QQ):
                 assert hochster_identity_check(K, ring).equal
+
+    def test_random_at_m_7_and_8(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            K = random_complex(rng, max_m=8, min_m=7)
+            for ring in (ZZ, GF(2)):
+                assert hochster_identity_check(K, ring).equal
+
+    def test_skeleta_against_closed_form(self):
+        # K_I of sk_k Delta^{m-1} is sk_k of a simplex on |I| = j vertices,
+        # whose H~_k is free of rank C(j - 1, k + 1)
+        for m, k in ((7, 1), (8, 2)):
+            rank = sum(comb(m, j) * comb(j - 1, k + 1) for j in range(1, m + 1))
+            for ring in (ZZ, GF(2)):
+                rep = hochster_identity_check(skeleton_of_simplex(m, k), ring)
+                assert rep.equal
+                assert rep.lhs.free == {k + 1: rank} and not rep.lhs.torsion

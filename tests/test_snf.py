@@ -2,11 +2,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from fatwedge import snf
+from fatwedge.complexes import make_complex, skeleton_of_simplex
+from fatwedge.homology import ChainComplex, build_simplicial_chain_complex
+from fatwedge.rmac import build_rmac, cubical_chain_complex
 from fatwedge.snf import (complex_rank_divisors, invariant_factors,
                           rank_mod_p, smith_normal_form, sparse_rank_divisors)
 
 from helpers import (minor_gcd_divisors, naive_rank_mod_p, naive_snf_divisors,
-                     random_matrix)
+                     random_complex, random_matrix)
 
 
 def matmul(a, b):
@@ -84,9 +88,8 @@ def test_sparse_matches_dense(rows):
 def test_complex_reducer_matches_per_matrix():
     rng = random.Random(3)
     for _ in range(40):
-        # random two-step complex d1 d2 with d1 d2 = 0: build from a random
-        # d2 and take d1 = 0 rows mixed with compatible relations is fiddly;
-        # instead compare on independent matrices placed in separate degrees
+        # arbitrary matrices as one-map complexes; real multi-degree
+        # complexes are checked in test_complex_reducer_on_multidegree_chains
         A = random_matrix(rng, max_n=5)
         cols = [{i: A[i][j] for i in range(len(A)) if A[i][j]}
                 for j in range(len(A[0]))]
@@ -94,6 +97,84 @@ def test_complex_reducer_matches_per_matrix():
         dense = smith_normal_form(A)
         assert ranks[1] == dense.rank
         assert invariant_factors(divisors[1]) == invariant_factors(dense.divisors)
+
+
+def _dense(cols, nrows):
+    A = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            A[i][j] = v
+    return A
+
+
+def _assert_reducer_matches_naive(cc):
+    """Every d_q of the whole complex against the naive oracle on d_q alone."""
+    ranks, divisors = complex_rank_divisors(cc.boundary,
+                                            {q: cc.dim(q) for q in cc.basis})
+    for q, cols in cc.boundary.items():
+        want = naive_snf_divisors(_dense(cols, cc.dim(q - 1)))
+        assert divisors[q] == want, q
+        assert ranks[q] == len(want), q
+    return ranks, divisors
+
+
+RP2_6 = make_complex(6, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5],
+                         [2, 5, 6], [2, 3, 6], [1, 3, 6], [1, 4, 6],
+                         [1, 2, 4], [4, 5, 6]])
+
+
+def test_complex_reducer_on_multidegree_chains():
+    # the worklist of zero-cost pivots cascades across degrees (a pivot in
+    # d_q deletes a row of d_{q+1} and a column of d_{q-1}), which one-map
+    # complexes never exercise
+    rng = random.Random(17)
+    for _ in range(25):
+        K = random_complex(rng, max_m=5)
+        _assert_reducer_matches_naive(cubical_chain_complex(build_rmac(K)))
+    for _ in range(40):
+        K = random_complex(rng, max_m=7)
+        _assert_reducer_matches_naive(build_simplicial_chain_complex(K))
+    # RZ_K of the 6-vertex RP^2 has Z/2 in H~_2, a divisor 2 in d_3
+    _, divisors = _assert_reducer_matches_naive(
+        cubical_chain_complex(build_rmac(RP2_6)))
+    assert divisors[3][-1] == 2
+
+
+def test_worklist_takes_the_pivots_of_a_cubical_complex(monkeypatch):
+    # on RZ_K of sk_2 of the 6-simplex every pivot has zero fill-in; they
+    # must cascade through the worklist (each one exposing the next in the
+    # adjacent degrees) and not fall through to the Markowitz heap
+    pushes = []
+    real_push = snf.heapq.heappush
+    monkeypatch.setattr(snf.heapq, "heappush",
+                        lambda heap, item: (pushes.append(item),
+                                            real_push(heap, item)))
+    cc = cubical_chain_complex(build_rmac(skeleton_of_simplex(7, 2)))
+    cells = sum(cc.dim(q) for q in cc.basis)
+    ranks, divisors = complex_rank_divisors(cc.boundary,
+                                            {q: cc.dim(q) for q in cc.basis})
+    # H~_3 of that RZ_K is free of rank sum_j C(7, j) C(j - 1, 3) = 209
+    assert cells == 1809 and cells - 2 * sum(ranks.values()) == 209
+    assert all(set(ds) == {1} for ds in divisors.values())
+    assert len(pushes) < cells // 10
+
+
+def test_complex_reducer_first_pivot_from_a_one_entry_row():
+    # unaugmented 2-simplex: every column has two or three entries, and the
+    # edge rows of d_2 have one entry each, so the first zero-cost pivot is
+    # a one-entry row; its elimination leaves one-entry rows in d_1
+    cols1 = [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]   # 12, 13, 23
+    cols2 = [{0: 1, 1: -1, 2: 1}]                            # 123
+    cc = ChainComplex({0: (1, 2, 3), 1: (12, 13, 23), 2: (123,)},
+                      {1: cols1, 2: cols2})
+    assert all(len(c) > 1 for cols in cc.boundary.values() for c in cols)
+    ranks, divisors = _assert_reducer_matches_naive(cc)
+    assert ranks == {1: 2, 2: 1} and divisors == {1: (1, 1), 2: (1,)}
+    # a twisted variant: d_2 = 2 * (12 - 13 + 23) leaves a one-entry row
+    # whose entry is not a unit, so the torsion must survive to the residue
+    cc2 = ChainComplex({0: (1, 2, 3), 1: (12, 13, 23), 2: (123,)},
+                       {1: cols1, 2: [{0: 2, 1: -2, 2: 2}]})
+    assert _assert_reducer_matches_naive(cc2)[1][2] == (2,)
 
 
 def test_invariant_factors_normalization():
