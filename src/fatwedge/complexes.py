@@ -132,9 +132,6 @@ class SimplicialComplex:
         for d in sorted(table):
             yield from table[d]
 
-    def face_count(self) -> int:
-        return sum(len(v) for v in self._face_table().values())
-
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim) with f_-1 = 1."""
         return tuple(len(self.faces(d)) for d in range(-1, self.dim + 1))

@@ -8,6 +8,9 @@ rules out every contractible filling.
 Contractibility is undecidable, so nothing here ever concludes "not fillable"
 from a failed collapse search alone; refutations always come through an
 acyclicity obstruction, which is a genuine invariant.
+The shelling and collapse searches run on one backtracking engine with an
+explicit stack, so their depth is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class FillingCertificate:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of a search and the nodes it spent.  A search that runs out of
+    budget reports budget + 1 nodes: the move that overran is counted."""
+
     status: str                    # "found" | "none" | "exhausted" | "refuted"
     certificate: object | None = None
     nodes: int = 0
@@ -79,6 +85,48 @@ class _Budget:
     def spend(self, n: int = 1) -> bool:
         self.left -= n
         return self.left >= 0
+
+
+def _backtrack(start, done, children, budget: int) -> SearchResult:
+    """Depth-first search from start for a state that satisfies done.
+
+    children(state, path) is a generator of (move, next_state) pairs, with
+    next_state None for a move that is not allowed; path lists the moves that
+    led to state, and holds those same moves whenever the generator resumes.
+    Each move tried spends one node of the budget, allowed or not.  A state
+    whose moves all failed goes into a memo and is not searched again.  The
+    stack of generators is explicit, so the depth is bounded by memory, not
+    by the interpreter's recursion limit.  A found certificate is the tuple of
+    moves.
+    """
+    if done(start):
+        return SearchResult("found", (), 0)
+    left = budget
+    failed = set()
+    path: list = []
+    stack = [(start, children(start, path))]
+    while stack:
+        state, moves = stack[-1]
+        for move, nxt in moves:
+            left -= 1
+            if left < 0:
+                return SearchResult("exhausted", None, budget - left)
+            if nxt is None:
+                continue
+            path.append(move)
+            if done(nxt):
+                return SearchResult("found", tuple(path), budget - left)
+            if nxt in failed:
+                path.pop()
+                continue
+            stack.append((nxt, children(nxt, path)))
+            break
+        else:
+            failed.add(state)
+            stack.pop()
+            if path:
+                path.pop()
+    return SearchResult("none", None, budget - left)
 
 
 # -- shellability -------------------------------------------------------------
@@ -108,46 +156,24 @@ def shelling_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
     """
     # K.facets is sorted by vertex tuple, so the stable sort on overlap below
     # breaks ties by vertex tuple
-    facets = list(K.facets)
+    facets = K.facets
     t = len(facets)
-    if t == 1:
-        return SearchResult("found", ShellingOrder((facets[0],)), 1)
-    b = _Budget(budget)
-    failed: set[frozenset[int]] = set()
-    order: list[int] = []
-    budget_hit = False
 
-    def extend(placed_set: frozenset[int], union: int) -> bool:
-        nonlocal budget_hit
-        if len(order) == t:
-            return True
-        if placed_set in failed:
-            return False
-        cands = [f for f in facets if f not in placed_set]
+    def children(placed: frozenset[int], order: list[int]):
+        union = 0
+        for g in order:
+            union |= g
+        cands = [f for f in facets if f not in placed]
         cands.sort(key=lambda f: -(f & union).bit_count())
         for f in cands:
-            if not b.spend():
-                budget_hit = True
-                return False
-            if order and not _shelling_ok(f, order):
-                continue
-            order.append(f)
-            if extend(placed_set | {f}, union | f):
-                return True
-            order.pop()
-            if budget_hit:
-                return False
-        failed.add(placed_set)
-        return False
+            ok = not order or _shelling_ok(f, order)
+            yield f, (placed | {f} if ok else None)
 
-    found = extend(frozenset(), 0)
-    # the recursive closure refers to itself, a cycle that would keep the
-    # failed-set memo alive until the next cyclic garbage collection
-    del extend
-    if found:
-        return SearchResult("found", ShellingOrder(tuple(order)), budget - b.left)
-    status = "exhausted" if budget_hit else "none"
-    return SearchResult(status, None, budget - b.left)
+    res = _backtrack(frozenset(), lambda placed: len(placed) == t, children,
+                     budget)
+    if res.found:
+        return SearchResult("found", ShellingOrder(res.certificate), res.nodes)
+    return res
 
 
 def is_shelling(K: SimplicialComplex, order) -> bool:
@@ -264,38 +290,17 @@ def collapse_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
     States (face sets) that failed are memoized.  "none" means full
     exhaustion and proves non-collapsibility, not non-contractibility.
     """
-    start = _face_set(K)
-    if len(start) == 2 and 0 in start:
-        return SearchResult("found", CollapseSequence(()), 0)
-    b = _Budget(budget)
-    failed: set[frozenset[int]] = set()
-    steps: list[tuple[int, int]] = []
-    budget_hit = False
-
-    def dfs(faces: frozenset[int]) -> bool:
-        nonlocal budget_hit
-        if len(faces) == 2 and 0 in faces:
-            return True
-        if faces in failed:
-            return False
+    def children(faces: frozenset[int], steps: list[tuple[int, int]]):
         for s, t in _free_pairs(faces):
-            if not b.spend():
-                budget_hit = True
-                return False
-            steps.append((s, t))
-            if dfs(faces - {s, t}):
-                return True
-            steps.pop()
-            if budget_hit:
-                return False
-        failed.add(faces)
-        return False
+            yield (s, t), faces - {s, t}
 
-    found = dfs(start)
-    del dfs    # break the closure's self-reference, as in shelling_search
-    if found:
-        return SearchResult("found", CollapseSequence(tuple(steps)), budget - b.left)
-    return SearchResult("exhausted" if budget_hit else "none", None, budget - b.left)
+    res = _backtrack(_face_set(K),
+                     lambda faces: len(faces) == 2 and 0 in faces,
+                     children, budget)
+    if res.found:
+        return SearchResult("found", CollapseSequence(res.certificate),
+                            res.nodes)
+    return res
 
 
 def is_collapse_sequence(K: SimplicialComplex, seq: CollapseSequence) -> bool:
@@ -523,23 +528,30 @@ def _simply_connected_surrogate(L: SimplicialComplex, mnf) -> tuple[bool, bool]:
 
 # -- strong gcd-condition and weak shellability -----------------------------------
 
+def _has_gcd_witnesses(ms) -> tuple[bool, int]:
+    """Does every disjoint pair of ms have a third member inside its union?
+    Also returns the number of disjoint pairs examined."""
+    r = len(ms)
+    pairs = 0
+    for i in range(r):
+        for j in range(i + 1, r):
+            if ms[i] & ms[j]:
+                continue
+            pairs += 1
+            union = ms[i] | ms[j]
+            if not any(k != i and k != j and ms[k] & ~union == 0
+                       for k in range(r)):
+                return False, pairs
+    return True, pairs
+
+
 def is_strong_gcd_order(K: SimplicialComplex, order) -> bool:
     """Validate a strong gcd-order: every disjoint pair of minimal non-faces
     must have a third minimal non-face inside its union.  The witness may sit
     anywhere else in the order."""
     ms = list(order)
-    if sorted(ms) != sorted(minimal_nonfaces(K)):
-        return False
-    r = len(ms)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if ms[i] & ms[j]:
-                continue
-            union = ms[i] | ms[j]
-            if not any(k != i and k != j and ms[k] & ~union == 0
-                       for k in range(r)):
-                return False
-    return True
+    return (sorted(ms) == sorted(minimal_nonfaces(K))
+            and _has_gcd_witnesses(ms)[0])
 
 
 def strong_gcd_search(K: SimplicialComplex) -> SearchResult:
@@ -549,19 +561,11 @@ def strong_gcd_search(K: SimplicialComplex) -> SearchResult:
     on the family: check all disjoint pairs and report the canonical order.
     A complex with at most one minimal non-face passes vacuously.
     """
-    mnf = list(minimal_nonfaces(K))
-    r = len(mnf)
-    nodes = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            if mnf[i] & mnf[j]:
-                continue
-            nodes += 1
-            union = mnf[i] | mnf[j]
-            if not any(k != i and k != j and mnf[k] & ~union == 0
-                       for k in range(r)):
-                return SearchResult("none", None, nodes)
-    return SearchResult("found", GcdOrder(tuple(mnf)), nodes)
+    mnf = minimal_nonfaces(K)
+    ok, nodes = _has_gcd_witnesses(mnf)
+    if ok:
+        return SearchResult("found", GcdOrder(mnf), nodes)
+    return SearchResult("none", None, nodes)
 
 
 def is_weak_shelling(K: SimplicialComplex, order) -> bool:

@@ -37,26 +37,6 @@ class CubicalComplex:
     def total_faces(self) -> int:
         return sum(len(cells) for cells in self.faces.values())
 
-    def is_boundary_closed(self) -> bool:
-        for d, cells in self.faces.items():
-            if d == 0:
-                continue
-            have = set(self.faces.get(d - 1, ()))
-            for s, t in cells:
-                for st2 in _cube_facets(s, t):
-                    if st2 not in have:
-                        return False
-        return True
-
-
-def _cube_facets(s: int, t: int):
-    free = t & ~s
-    while free:
-        b = free & -free
-        free ^= b
-        yield (s, t ^ b)
-        yield (s | b, t)
-
 
 def build_rmac(K: SimplicialComplex, max_m: int = DEFAULT_MAX_M,
                allow_large: bool = False) -> CubicalComplex:

@@ -13,7 +13,8 @@ import random
 from math import gcd
 
 from fatwedge.complexes import join, make_complex, verts
-from fatwedge.criteria import SearchResult, ShellingOrder
+from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
+                               _Budget, _face_set, _free_pairs)
 from fatwedge.rmac import build_rmac
 from fatwedge.tor import TorBasisElement, _merge_sign
 
@@ -219,6 +220,43 @@ def reference_shelling_search(K, budget: int):
     if extend(frozenset(), 0):
         return "found", budget - left, tuple(order)
     return ("exhausted" if budget_hit else "none"), budget - left, None
+
+
+def reference_collapse_search(K, budget: int) -> SearchResult:
+    """Collapse search written as a recursive closure: the reference that
+    pins the nodes and steps of the library's explicit-stack engine."""
+    start = _face_set(K)
+    if len(start) == 2 and 0 in start:
+        return SearchResult("found", CollapseSequence(()), 0)
+    b = _Budget(budget)
+    failed: set[frozenset[int]] = set()
+    steps: list[tuple[int, int]] = []
+    budget_hit = False
+
+    def dfs(faces: frozenset[int]) -> bool:
+        nonlocal budget_hit
+        if len(faces) == 2 and 0 in faces:
+            return True
+        if faces in failed:
+            return False
+        for s, t in _free_pairs(faces):
+            if not b.spend():
+                budget_hit = True
+                return False
+            steps.append((s, t))
+            if dfs(faces - {s, t}):
+                return True
+            steps.pop()
+            if budget_hit:
+                return False
+        failed.add(faces)
+        return False
+
+    found = dfs(start)
+    del dfs    # break the closure's self-reference
+    if found:
+        return SearchResult("found", CollapseSequence(tuple(steps)), budget - b.left)
+    return SearchResult("exhausted" if budget_hit else "none", None, budget - b.left)
 
 
 def weak_shelling_search(K) -> SearchResult:

@@ -126,6 +126,16 @@ class TestCommands:
         code, out = run(capsys, "homology", "/nonexistent/file.json")
         assert code == 2 and "error" in out
 
+    def test_shell_long_path(self, capsys, tmp_path):
+        # 1,200 steps deep: more than the default recursion limit
+        doc = {"name": "path_1200", "m": 1201,
+               "generators": [[v, v + 1] for v in range(1, 1201)]}
+        path = tmp_path / "path_1200.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "shell", str(path))
+        assert code == 0 and out["status"] == "found"
+        assert len(out["shelling"]) == 1200
+
     def test_budget_exhausted_exit_3(self, capsys):
         code, out = run(capsys, "shell", "rp2_6", "--dual",
                         "--budget-nodes", "5")

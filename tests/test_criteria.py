@@ -1,6 +1,8 @@
 import gc
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,9 @@ from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
                                spanning_facets, strong_gcd_search)
 from fatwedge.homology import QQ, ZZ, is_acyclic, simplicial_chain_complex
 
-from helpers import (random_complex, reference_shelling_ok,
-                     reference_shelling_search, weak_shelling_search)
+from helpers import (random_complex, reference_collapse_search,
+                     reference_shelling_ok, reference_shelling_search,
+                     weak_shelling_search)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -144,6 +147,43 @@ class TestCollapse:
             K = random_complex(rng, max_m=5)
             if collapse_search(K, budget=30000).found:
                 assert is_acyclic(K, ZZ)
+
+
+class TestCollapseAgainstReference:
+    @pytest.mark.parametrize("budget", [50, 2000])
+    @given(complexes(max_m=6))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_recursive_reference(self, budget, K):
+        res = collapse_search(K, budget)
+        ref = reference_collapse_search(K, budget)
+        steps = res.certificate.steps if res.found else None
+        ref_steps = ref.certificate.steps if ref.found else None
+        assert (res.status, res.nodes, steps) == (ref.status, ref.nodes,
+                                                  ref_steps)
+
+
+def path_complex(edges: int):
+    return make_complex(edges + 1, [[v, v + 1] for v in range(1, edges + 1)])
+
+
+class TestDeepSearches:
+    def test_long_path_shells(self):
+        # one step per edge: a recursive search would need 1,200 frames
+        res = shelling_search(path_complex(1200))
+        assert res.status == "found" and res.nodes == 1200
+
+    def test_searches_do_not_use_the_interpreter_stack(self):
+        P = path_complex(80)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            shelled = shelling_search(P)
+            collapsed = collapse_search(P)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert shelled.found and shelled.nodes == 80
+        assert collapsed.found
+        assert is_collapse_sequence(P, collapsed.certificate)
 
 
 def test_searches_leave_no_reference_cycles():

@@ -75,7 +75,7 @@ class TestFiltration:
             faces.append(flat)
         # top level minus previous level counts the faces of K
         top, prev = faces[-1], faces[-2]
-        assert len(top) - len(prev) == K.face_count()
+        assert len(top) - len(prev) == sum(K.f_vector())
 
     @given(complexes(max_m=4))
     @settings(max_examples=25, deadline=None)
@@ -119,7 +119,6 @@ class TestHomology:
 
     def test_boundary_closed_and_dd_zero(self):
         C = build_rmac(C4)
-        assert C.is_boundary_closed()
         cubical_chain_complex(C)  # raises if boundary squared is nonzero
 
     def test_missing_facet_is_reported_not_a_key_error(self):
@@ -128,7 +127,6 @@ class TestHomology:
             faces = dict(full.faces)
             faces[d] = faces[d][1:]
             C = CubicalComplex(4, faces, provenance="C4 minus a face")
-            assert not C.is_boundary_closed()
             with pytest.raises(ValueError, match="not boundary-closed"):
                 cubical_chain_complex(C)
 
