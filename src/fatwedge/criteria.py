@@ -526,7 +526,7 @@ def _simply_connected_surrogate(L: SimplicialComplex, mnf) -> tuple[bool, bool]:
     return chordal, spanned
 
 
-# -- strong gcd-condition and weak shellability -----------------------------------
+# -- strong gcd-condition -----------------------------------------------------------
 
 def _has_gcd_witnesses(ms) -> tuple[bool, int]:
     """Does every disjoint pair of ms have a third member inside its union?
@@ -566,22 +566,3 @@ def strong_gcd_search(K: SimplicialComplex) -> SearchResult:
     if ok:
         return SearchResult("found", GcdOrder(mnf), nodes)
     return SearchResult("none", None, nodes)
-
-
-def is_weak_shelling(K: SimplicialComplex, order) -> bool:
-    """Validate a weak shelling: whenever two facets cover the whole ground
-    set, a third facet must contain their intersection (position-free; this
-    is the Alexander-dual mirror of the strong gcd witness condition)."""
-    ms = list(order)
-    if sorted(ms) != sorted(K.facets):
-        return False
-    full = (1 << K.m) - 1
-    r = len(ms)
-    for j in range(r):
-        for i in range(j):
-            if ms[i] | ms[j] == full:
-                cap = ms[i] & ms[j]
-                if not any(k != i and k != j and cap & ~ms[k] == 0
-                           for k in range(r)):
-                    return False
-    return True

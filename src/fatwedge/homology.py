@@ -9,8 +9,10 @@ Boundary matrices are kept column-sparse.  Bulk invariants go through the
 one sparse integral eliminator in ``snf``: a single reduction gives the
 Smith divisors of every boundary map, and the ranks over Q and Z/p are read
 off them.  Homology bases with representative cycles, needed for induced
-maps, use the dense transform-carrying Smith form on the small complexes
-where maps are actually taken.
+maps and Tor products, are read off two dense transform-carrying Smith forms
+over Z, on the small complexes where maps are actually taken; the same two
+forms give the bases over Z, Q and Z/p, with integer generators and
+coordinates for every ring.
 
 A chain complex reduces itself over Z once, on first use, and keeps that
 reduction and the profile of every ring it is asked for; the simplicial chain
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -346,237 +347,94 @@ def _dense_boundary(cc: ChainComplex, q: int) -> list[list[int]]:
     return mat
 
 
-class _FieldSpan:
-    """Augmented echelon span over Q or Z/p with generator bookkeeping.
-
-    Rows are (vector, coeffs) pairs kept in echelon form by leading index;
-    vectors added as boundaries carry empty coeffs, homology generators carry
-    a unit coefficient, so reducing an arbitrary cycle yields its class in
-    generator coordinates.
-    """
-
-    def __init__(self, n: int, p: int | None, n_gens: int):
-        self.n = n
-        self.p = p
-        self.n_gens = n_gens
-        self.rows: dict[int, tuple[list, list]] = {}
-
-    def _inv(self, a):
-        return pow(a, -1, self.p) if self.p is not None else Fraction(1) / a
-
-    def _reduce(self, vec: list, coeffs: list):
-        p = self.p
-        for lead in sorted(self.rows):
-            if lead >= self.n:
-                break
-            c = vec[lead]
-            if not c:
-                continue
-            rvec, rco = self.rows[lead]
-            for k in range(lead, self.n):
-                if rvec[k]:
-                    vec[k] = (vec[k] - c * rvec[k]) % p if p is not None else vec[k] - c * rvec[k]
-            for k in range(self.n_gens):
-                if rco[k]:
-                    coeffs[k] = (coeffs[k] - c * rco[k]) % p if p is not None else coeffs[k] - c * rco[k]
-        return vec, coeffs
-
-    def add(self, vec: list, coeffs: list) -> bool:
-        """Insert into the span; returns False if vec was already in it."""
-        vec, coeffs = self._reduce(list(vec), list(coeffs))
-        lead = next((k for k in range(self.n) if vec[k]), None)
-        if lead is None:
-            return False
-        inv = self._inv(vec[lead])
-        p = self.p
-        vec = [(x * inv) % p if p is not None else x * inv for x in vec]
-        coeffs = [(x * inv) % p if p is not None else x * inv for x in coeffs]
-        self.rows[lead] = (vec, coeffs)
-        return True
-
-    def class_of(self, vec: list):
-        """Generator coordinates of a cycle; None if outside the span."""
-        vec, coeffs = self._reduce(list(vec), [0] * self.n_gens)
-        if any(vec):
-            return None
-        neg = [(-c) % self.p if self.p is not None else -c for c in coeffs]
-        return neg
-
-
 class HomologyBasis:
     """Generators with representative cycles for H_q(cc; ring), plus a
-    class-coordinate map used to push chains into homology coordinates."""
+    class-coordinate map used to push chains into homology coordinates.
+
+    One construction serves Z, Q and Z/p, on two integral Smith forms: that
+    of d_q, U d_q V = D with divisors d_j (j < r), and that of the boundaries
+    d_{q+1} written in the cycle coordinates y_{r:} of y = V^-1 x, with
+    divisors e_i.  In the coordinates z = (y_{:r}, U' y_{r:}), where U' is the
+    row transform of the second form, a chain is a cycle over the ring
+    exactly when d_j z_j = 0 there for every j < r, and the boundaries are the
+    multiples of e_i in slot r + i (nothing past the rank of the second
+    form).  A slot gives a class when its d is zero in the ring and its e is
+    not a unit: over Z the torsion e > 1 and the free slots past the rank;
+    over Q the free slots only; over Z/p every e that p divides, and every d_j
+    that p divides, the Tor(H_{q-1}, Z/p) part of universal coefficients.
+    """
 
     def __init__(self, cc: ChainComplex, ring: CoefficientRing, q: int):
         self.cc = cc
         self.ring = ring
         self.q = q
-        self.n = cc.dim(q)
-        if ring.kind == "Z":
-            self._init_integral()
+        n = self.n = cc.dim(q)
+        if q in cc.boundary:
+            dq = smith_normal_form(_dense_boundary(cc, q))
+            V, self._v_inv, self._ds = dq.V, dq.v_inv, dq.divisors
         else:
-            self._init_field()
+            V = self._v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+            self._ds = ()
+        r = len(self._ds)
+        rows: list[list[int]] = [[] for _ in range(r, n)]
+        for col in cc.boundary.get(q + 1, ()):
+            y = self._chain_coords(col)
+            for row, yk in zip(rows, y[r:]):
+                row.append(yk)
+        bq = smith_normal_form(rows)
+        self._u = bq.U
+        es = bq.divisors + (0,) * (n - r - bq.rank)
+        self._slots = []    # (slot of z, modulus of its coordinate)
+        self.generators = []
+        self.orders = []
+        for s, (d, e) in enumerate([(d, 0) for d in self._ds] + [(0, e) for e in es]):
+            unit = e == 1 if ring.kind == "Z" else not self._is_zero(e)
+            if unit or not self._is_zero(d):
+                continue
+            self._slots.append((s, ring.p or e))
+            self.orders.append(0 if ring.is_field else e)
+            if s < r:
+                self.generators.append([row[s] for row in V])
+            else:
+                c = [row[s - r] for row in bq.u_inv]
+                self.generators.append([sum(row[r + k] * ck for k, ck in enumerate(c) if ck)
+                                        for row in V])
+        prof = chain_homology(cc, ring)
+        if (self.orders.count(0), tuple(e for e in self.orders if e)) != \
+                (prof.betti(q), prof.torsion_at(q)):
+            raise AssertionError("homology basis rank mismatch")
 
-    # orders: 0 = infinite (free generator), d >= 2 = torsion of order d
+    # orders: 0 = infinite (free generator, and every generator over a
+    # field), d >= 2 = torsion of order d
     @property
     def rank(self) -> int:
         return len(self.orders)
 
-    def _init_integral(self):
-        cc, q = self.cc, self.q
-        dq = smith_normal_form(_dense_boundary(cc, q)) if q in cc.boundary else None
-        n = self.n
-        if dq is not None:
-            r = dq.rank
-            vinv = dq.v_inv
-            kernel_cols = [[dq.V[i][k] for i in range(n)] for k in range(r, n)]
-        else:
-            r = 0
-            vinv = None
-            kernel_cols = [[1 if i == k else 0 for i in range(n)] for k in range(n)]
-        self._dq = dq
-        self._kdim = len(kernel_cols)
-        self._kernel = kernel_cols
-        up = cc.boundary.get(q + 1, ())
-        img = []
-        for col in up:
-            vec = [0] * n
-            for i, v in col.items():
-                vec[i] = v
-            img.append(self._kernel_coords(vec))
-        m = [[img[j][i] for j in range(len(img))] for i in range(self._kdim)]
-        msnf = smith_normal_form(m)
-        self._msnf = msnf
-        gens = []
-        orders = []
-        for i in range(self._kdim):
-            if i < msnf.rank:
-                d = msnf.divisors[i]
-                if d == 1:
-                    continue
-                orders.append(d)
-            else:
-                orders.append(0)
-            coord = [msnf.u_inv[row][i] for row in range(self._kdim)]
-            cycle = [sum(self._kernel[k][idx] * coord[k] for k in range(self._kdim))
-                     for idx in range(n)]
-            gens.append(cycle)
-        self.generators = gens
-        self.orders = orders
+    def _is_zero(self, x: int) -> bool:
+        p = self.ring.p
+        return x % p == 0 if p else x == 0
 
-    def _kernel_coords(self, vec: list) -> list:
-        dq = self._dq
-        if dq is None:
-            return list(vec)
-        n = self.n
-        y = [sum(dq.v_inv[i][j] * vec[j] for j in range(n)) for i in range(n)]
-        if any(y[:dq.rank]):
-            raise ValueError("chain is not a cycle")
-        return y[dq.rank:]
-
-    def _init_field(self):
-        cc, q, ring = self.cc, self.q, self.ring
-        p = ring.p if ring.kind == "Zp" else None
-        n = self.n
-        down = cc.boundary.get(q, ())
-        up = cc.boundary.get(q + 1, ())
-        # kernel of d_q over the field
-        kernel = _field_kernel(down, cc.dim(q - 1), n, p)
-        betti = chain_homology(cc, ring).betti(q)
-        span = _FieldSpan(n, p, betti)
-        for col in up:
-            vec = [0] * n
-            for i, v in col.items():
-                vec[i] = v % p if p is not None else Fraction(v)
-            span.add(vec, [0] * betti)
-        gens = []
-        for vec in kernel:
-            idx = len(gens)
-            coeffs = [0] * betti
-            if idx < betti:
-                coeffs[idx] = 1
-            if span.add(vec, coeffs):
-                gens.append(vec)
-        if len(gens) != betti:
-            raise AssertionError("field homology rank mismatch")
-        self._span = span
-        self.generators = gens
-        self.orders = [0] * betti
+    def _chain_coords(self, chain: Mapping[int, int]) -> list[int]:
+        """y = V^-1 x of a sparse chain x."""
+        return [sum(row[i] * v for i, v in chain.items()) for row in self._v_inv]
 
     def class_coords(self, chain: Mapping[int, int]) -> list:
         """Coordinates of a cycle's class in the generator basis.
 
         Over Z the i-th coordinate is reduced mod the i-th generator's order
-        (for torsion generators); the class is zero iff all coordinates are.
+        (for torsion generators), over Z/p mod p; the class is zero iff all
+        coordinates are.
         """
-        vec = [0] * self.n
-        for i, v in chain.items():
-            vec[i] = v
-        if self.ring.kind == "Z":
-            y = self._kernel_coords(vec)
-            w = [sum(self._msnf.U[i][k] * y[k] for k in range(self._kdim))
-                 for i in range(self._kdim)]
-            out = []
-            for i in range(self._kdim):
-                if i < self._msnf.rank:
-                    d = self._msnf.divisors[i]
-                    if d == 1:
-                        continue
-                    out.append(w[i] % d)
-                else:
-                    out.append(w[i])
-            return out
-        p = self.ring.p if self.ring.kind == "Zp" else None
-        fvec = [x % p if p is not None else Fraction(x) for x in vec]
-        coords = self._span.class_of(fvec)
-        if coords is None:
-            raise ValueError("chain is not a cycle over the field")
-        return coords
+        y = self._chain_coords(chain)
+        # d_q x = U^-1 D y
+        if not all(self._is_zero(d * y[j]) for j, d in enumerate(self._ds)):
+            raise ValueError("chain is not a cycle")
+        r = len(self._ds)
+        z = y[:r] + [sum(u * yk for u, yk in zip(row, y[r:])) for row in self._u]
+        return [z[s] % m if m else z[s] for s, m in self._slots]
 
     def is_zero_class(self, chain: Mapping[int, int]) -> bool:
         return not any(self.class_coords(chain))
-
-
-def _field_kernel(cols, nrows: int, ncols: int, p: int | None) -> list[list]:
-    """Kernel basis of a sparse integer matrix over Q or Z/p (dense output)."""
-    if not cols:
-        one = 1 if p is not None else Fraction(1)
-        return [[one if i == k else 0 for i in range(ncols)] for k in range(ncols)]
-    dense = [[0] * ncols for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            dense[i][j] = v % p if p is not None else Fraction(v)
-    # column echelon on the augmented [A; I] to read kernel columns
-    aug = [list(row) for row in dense] + \
-          [[(1 if j == k else 0) for k in range(ncols)] for j in range(ncols)]
-    # straightforward Gaussian elimination on columns
-    lead_of_col: list[int | None] = [None] * ncols
-    r = 0
-    for i in range(nrows):
-        piv = None
-        for j in range(ncols):
-            if lead_of_col[j] is None and aug[i][j]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        lead_of_col[piv] = i
-        inv = pow(aug[i][piv], -1, p) if p is not None else Fraction(1) / aug[i][piv]
-        for k in range(nrows + ncols):
-            aug[k][piv] = aug[k][piv] * inv % p if p is not None else aug[k][piv] * inv
-        for j in range(ncols):
-            if j != piv and aug[i][j]:
-                c = aug[i][j]
-                for k in range(nrows + ncols):
-                    if aug[k][piv]:
-                        aug[k][j] = (aug[k][j] - c * aug[k][piv]) % p if p is not None \
-                            else aug[k][j] - c * aug[k][piv]
-        r += 1
-    kernel = []
-    for j in range(ncols):
-        if lead_of_col[j] is None:
-            kernel.append([aug[nrows + t][j] for t in range(ncols)])
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -584,7 +442,7 @@ class InducedMap:
     """Matrix of H_q(A) -> H_q(B) in the deterministic homology bases."""
 
     degree: int
-    matrix: tuple[tuple, ...]   # rows: target generators; int or Fraction entries
+    matrix: tuple[tuple, ...]   # rows: target generators; int entries
     source_orders: tuple[int, ...]
     target_orders: tuple[int, ...]
 
@@ -637,8 +495,8 @@ def induced_map_on_homology(A: SimplicialComplex, B: SimplicialComplex,
 
     Bases are the ones produced by the homology engine (deterministic for the
     fixed simplex ordering); over Z the coordinates of torsion generators are
-    reduced modulo their orders.  Over Q the rational coordinates of cycles
-    with integer pushforwards are integers, and are returned as ints.
+    reduced modulo their orders, over Z/p every coordinate mod p.  Over Q the
+    generators are integral and so are the coordinates of their pushforwards.
     """
     ccA, ccB, chain_map = _simplicial_chain_map(A, B, vertex_map)
     hb_a = HomologyBasis(ccA, ring, q)

@@ -2,14 +2,14 @@
 
 Two engines share this module.  ``smith_normal_form`` is a dense
 transform-carrying reduction used where kernel/cokernel bases are needed
-(homology generators, induced maps); entries are Python ints, so there is no
-overflow.  ``complex_rank_divisors`` is the one sparse eliminator, over Z and
-divisors-only, for the bulk homology computations, where boundary matrices
-are large but almost all pivots are units: unit pivots are eliminated and
-split off, and whatever remains is handed to the dense routine.  Pivots with
-no fill-in (a unit alone in its column or row) run first from a FIFO
-worklist, the coreduction cascade of Mrozek and Batko; only what survives it
-goes through a Markowitz heap.  Field ranks are read off its divisors: over
+(homology generators over Z, Q and Z/p, induced maps, Tor products); entries
+are Python ints, so there is no overflow.  ``complex_rank_divisors`` is the
+one sparse eliminator, over Z and divisors-only, for the bulk homology
+computations, where boundary matrices are large but almost all pivots are
+units: unit pivots are eliminated and split off, and whatever remains is
+handed to the dense routine.  Pivots with no fill-in (a unit alone in its
+column or row) run first from a FIFO worklist, the coreduction cascade of
+Mrozek and Batko; only what survives it goes through a Markowitz heap.  Field ranks are read off its divisors: over
 Q the rank is the number of divisors, over Z/p it is ``rank_mod_p``.
 ``sparse_rank_divisors`` runs it on one matrix.
 """
@@ -399,16 +399,14 @@ def rank_mod_p(divisors, p: int) -> int:
     return sum(1 for d in divisors if d % p)
 
 
-def sparse_rank_divisors(columns, nrows: int, p: int | None = None):
-    """Rank and invariant divisors of a sparse integer matrix.
+def sparse_rank_divisors(columns, nrows: int):
+    """Rank over Q and invariant divisors over Z of a sparse integer matrix.
 
     columns is a sequence of {row: value} dicts, reduced as the one-map
-    complex d_1 by ``complex_rank_divisors``.  With p = None the result is
-    (rank over Q, divisors over Z); with a prime p it is (rank over Z/p, ()).
+    complex d_1 by ``complex_rank_divisors``; the rank over Z/p is
+    ``rank_mod_p`` of the divisors.
     """
     ranks, divisors = complex_rank_divisors({1: columns}, {0: nrows, 1: len(columns)})
-    if p is not None:
-        return rank_mod_p(divisors[1], p), ()
     return ranks[1], divisors[1]
 
 

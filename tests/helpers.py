@@ -278,6 +278,25 @@ def weak_shelling_search(K) -> SearchResult:
     return SearchResult("found", ShellingOrder(tuple(facets)), nodes)
 
 
+def is_weak_shelling(K, order) -> bool:
+    """Validate a weak shelling: whenever two facets cover the whole ground
+    set, a third facet must contain their intersection (position-free; this
+    is the Alexander-dual mirror of the strong gcd witness condition)."""
+    ms = list(order)
+    if sorted(ms) != sorted(K.facets):
+        return False
+    full = (1 << K.m) - 1
+    r = len(ms)
+    for j in range(r):
+        for i in range(j):
+            if ms[i] | ms[j] == full:
+                cap = ms[i] & ms[j]
+                if not any(k != i and k != j and cap & ~ms[k] == 0
+                           for k in range(r)):
+                    return False
+    return True
+
+
 def rmac_face_counts_of_join(K1, K2) -> bool:
     """Product rule: |faces(RZ_{K1*K2})| = |faces(RZ_K1)| * |faces(RZ_K2)|."""
     a = build_rmac(K1).total_faces()

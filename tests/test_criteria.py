@@ -16,13 +16,13 @@ from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
                                is_collapse_sequence, is_dual_scm,
                                is_dual_shellable, is_homology_fillable, is_scm,
                                is_shelling, is_strong_gcd_order,
-                               is_weak_shelling, shelling_search,
-                               spanning_facets, strong_gcd_search)
+                               shelling_search, spanning_facets,
+                               strong_gcd_search)
 from fatwedge.homology import QQ, ZZ, is_acyclic, simplicial_chain_complex
 
-from helpers import (random_complex, reference_collapse_search,
-                     reference_shelling_ok, reference_shelling_search,
-                     weak_shelling_search)
+from helpers import (is_weak_shelling, random_complex,
+                     reference_collapse_search, reference_shelling_ok,
+                     reference_shelling_search, weak_shelling_search)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, chain_homology, dK,
                                reduced_homology, simplicial_chain_complex)
 from fatwedge.snf import complex_rank_divisors
 
-from helpers import naive_rank_mod_p, random_complex
+from helpers import naive_rank_mod_p, naive_snf_divisors, random_complex
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -132,16 +133,32 @@ class TestOneReductionPerComplex:
             assert len(calls) == 1
 
     def test_field_basis_checks_its_rank(self, monkeypatch):
-        # a kernel routine that loses a cycle must trip the rank check
-        # against the integral reduction; in both cases below the cycles
-        # are a single homology generator and there are no boundaries
-        lossy = homology._field_kernel
-        monkeypatch.setattr(homology, "_field_kernel",
-                            lambda *args: lossy(*args)[:-1])
-        for K, ring, q in ((self.K, GF(2), 2), (C4, QQ, 1)):
+        # a Smith form that loses a class must trip the rank check of the
+        # basis against the sparse reduction, over Z and over fields: it
+        # reports its largest divisor as 1, or one unit divisor too many.
+        # The first case is the Z/2 of H_2(K; Z/2), the Tor(H_1, Z/2) part;
+        # in the others the cycles of C4 are one free class and there are
+        # no boundaries
+        exact = homology.smith_normal_form
+
+        def lossy(matrix):
+            res = exact(matrix)
+            ds = res.divisors
+            if ds and ds[-1] > 1:
+                ds = ds[:-1] + (1,)
+            elif res.rank < min(res.shape):
+                ds += (1,)
+            return dataclasses.replace(res, divisors=ds)
+
+        monkeypatch.setattr(homology, "smith_normal_form", lossy)
+        for K, ring, q in ((self.K, GF(2), 2), (C4, QQ, 1), (C4, ZZ, 1)):
             cc = simplicial_chain_complex.__wrapped__(K)
             with pytest.raises(AssertionError, match="rank mismatch"):
                 HomologyBasis(cc, ring, q)
+        monkeypatch.setattr(homology, "smith_normal_form", exact)
+        for K, ring, q in ((self.K, GF(2), 2), (self.K, ZZ, 1), (C4, QQ, 1), (C4, ZZ, 1)):
+            cc = simplicial_chain_complex.__wrapped__(K)
+            assert HomologyBasis(cc, ring, q).rank == 1
 
 
 def _boundary(K, q):
@@ -242,6 +259,87 @@ class TestInducedMaps:
         B = simplex(4).skeleton(1)
         m = induced_map_on_homology(A, B, QQ, 1)
         assert not m.is_zero
+
+
+def _is_boundary(K, q, z, ring):
+    """Whether the dense chain z is a boundary over ring, by a rank oracle:
+    appending z to d_{q+1} keeps its rank over a field and, over Z, its
+    Smith divisors (a lattice and a finite-index superlattice differ in
+    the product of their divisors)."""
+    up = _boundary(K, q + 1)
+    both = [row + [x] for row, x in zip(up, z)]
+    if ring == ZZ:
+        return naive_snf_divisors(both) == naive_snf_divisors(up)
+    if ring == QQ:
+        return len(naive_snf_divisors(both)) == len(naive_snf_divisors(up))
+    return naive_rank_mod_p(both, ring.p) == naive_rank_mod_p(up, ring.p)
+
+
+class TestHomologyBases:
+    """Bases over Z, Q, Z/2 and Z/3 against the naive dense oracles: the
+    number of classes, the coordinates of sum c_i g_i plus a random
+    boundary, and the zero test."""
+
+    rings = (ZZ, QQ, GF(2), GF(3))
+
+    def _check(self, K, ring, q, rng):
+        cc = simplicial_chain_complex(K)
+        hb = HomologyBasis(cc, ring, q)
+        if ring.kind == "Zp":
+            want = (cc.dim(q) - naive_rank_mod_p(_boundary(K, q), ring.p)
+                    - naive_rank_mod_p(_boundary(K, q + 1), ring.p))
+            assert hb.rank == want
+        up = cc.boundary.get(q + 1, ())
+        for trial in range(6):
+            if trial == 0:
+                c = [0] * hb.rank
+            elif trial <= hb.rank:
+                c = [int(i == trial - 1) for i in range(hb.rank)]
+            else:
+                c = [rng.randint(-5, 5) for _ in range(hb.rank)]
+            z = [sum(ci * g[i] for ci, g in zip(c, hb.generators))
+                 for i in range(cc.dim(q))]
+            for col in up:
+                a = rng.randint(-2, 2)
+                for i, v in col.items():
+                    z[i] += a * v
+            want = [ci % (ring.p or d) if ring.p or d else ci
+                    for ci, d in zip(c, hb.orders)]
+            chain = {i: v for i, v in enumerate(z) if v}
+            assert hb.class_coords(chain) == want, (K, ring, q, c)
+            assert hb.is_zero_class(chain) == _is_boundary(K, q, z, ring), \
+                (K, ring, q, c)
+
+    def test_rp2(self):
+        rng = random.Random(7)
+        K = load("rp2_6").complex()
+        for ring in self.rings:
+            for q in range(-1, K.dim + 1):
+                self._check(K, ring, q, rng)
+        cc = simplicial_chain_complex(K)
+        assert HomologyBasis(cc, ZZ, 1).orders == [2]
+        assert HomologyBasis(cc, ZZ, 2).rank == 0
+        assert HomologyBasis(cc, QQ, 1).rank == 0
+        # the Z/2 class in H_2(RP^2; Z/2) is a Tor(H_1, Z/2) class: a cycle
+        # mod 2 only, so no integral cycle represents it
+        hb = HomologyBasis(cc, GF(2), 2)
+        assert hb.rank == 1
+        assert any(sum(v * x for v, x in zip(row, hb.generators[0]))
+                   for row in _boundary(K, 2))
+
+    def test_random_complexes(self):
+        # 150 random complexes, then 20 with torsion: RP^2 with a few
+        # random simplices added on a seventh vertex
+        rng = random.Random(20140)
+        pool = [random_complex(rng, max_m=7) for _ in range(150)]
+        for _ in range(20):
+            extra = [rng.sample(range(1, 8), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 3))]
+            pool.append(make_complex(7, [verts(f) for f in RP2.facets] + extra))
+        for K in pool:
+            for ring in self.rings:
+                for q in range(-1, K.dim + 1):
+                    self._check(K, ring, q, rng)
 
 
 class TestNeighborlyAcyclicity:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fatwedge.corpus import corpus_names
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,3 +24,10 @@ def test_random_screen_runs_and_oracles_agree():
     assert "screened 5 complexes" in proc.stdout
     assert "Golod oracle disagreements:       0" in proc.stdout
     assert "subcomplex-sum identity failures: 0" in proc.stdout
+
+
+def test_survey_corpus_lists_every_complex():
+    proc = _run_script("survey_corpus.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == list(corpus_names())
