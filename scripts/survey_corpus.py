@@ -8,7 +8,7 @@ import argparse
 import time
 
 from fatwedge.certify import certify_fwf_trivial, golod_report
-from fatwedge.complexes import max_neighborliness
+from fatwedge.complexes import max_neighborliness, run
 from fatwedge.corpus import corpus_names, load
 from fatwedge.criteria import is_dual_scm, is_dual_shellable, strong_gcd_search
 from fatwedge.homology import ZZ, dK, reduced_homology
@@ -28,19 +28,21 @@ def main() -> None:
     for name in corpus_names():
         K = load(name).complex()
         t0 = time.monotonic()
-        prof = reduced_homology(K, ZZ)
-        d = dK(K)
-        cert = certify_fwf_trivial(K, all_rules=args.all_rules)
-        rep = golod_report(K)
-        dual_bits = []
-        if is_dual_shellable(K).found:
-            dual_bits.append("shell")
-        if is_dual_scm(K, ZZ):
-            dual_bits.append("scm")
+        with run():    # every question below shares the results of K's K_I
+            prof = reduced_homology(K, ZZ)
+            d = dK(K)
+            cert = certify_fwf_trivial(K, all_rules=args.all_rules)
+            rep = golod_report(K)
+            dual_bits = []
+            if is_dual_shellable(K).found:
+                dual_bits.append("shell")
+            if is_dual_scm(K, ZZ):
+                dual_bits.append("scm")
+            gcd = strong_gcd_search(K).status
         row = (f"{name:<20} {K.m:>2} {K.dim:>3} {repr(prof)[16:-1]:<22.22} "
                f"{'-' if d is None else d:>3} {max_neighborliness(K):>2} "
                f"{str(rep.golod):<5} {'+'.join(dual_bits) or '-':<11} "
-               f"{strong_gcd_search(K).status:<5} "
+               f"{gcd:<5} "
                f"{cert.verdict:<10} {cert.rule or '-':<24} "
                f"{time.monotonic() - t0:>5.1f}")
         print(row)

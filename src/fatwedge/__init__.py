@@ -22,9 +22,8 @@ from .homology import (GF, QQ, ZZ, ChainComplex, CoefficientRing,
 from .snf import SNFResult, smith_normal_form
 from .rmac import (CubicalComplex, build_rmac, cubical_homology,
                    hochster_identity_check, rmac_filtration)
-from .tor import (TorAlgebra, TorBasisElement, build_tor, golod_via_join,
-                  golod_via_tor, hochster_tor_check, tor_dimensions,
-                  torsion_primes)
+from .tor import (TorAlgebra, build_tor, golod_via_join, golod_via_tor,
+                  hochster_tor_check, tor_dimensions, torsion_primes)
 from .criteria import (CollapseSequence, FillingCertificate, GcdOrder,
                        SearchResult, ShellingOrder, collapse_search,
                        fill_search, filling_from_dual_shelling, is_cm,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, flag_complex, full_subcomplex,
                         max_neighborliness, minimal_nonfaces,
-                        perfect_elimination_order, verts)
+                        perfect_elimination_order, run, verts)
 from .criteria import (DEFAULT_BUDGET, FillingCertificate, ShellingOrder,
                        fill_search, is_dual_scm, is_dual_shellable,
                        is_homology_fillable)
@@ -64,6 +64,7 @@ class GolodReport:
         }
 
 
+@run()
 def golod_report(K: SimplicialComplex) -> GolodReport:
     """Golodness over Z in the decidable sense: over Q and over Z/p for every
     prime p dividing torsion of some full-subcomplex homology (2 and 3 are
@@ -197,6 +198,7 @@ _RULES = {
 }
 
 
+@run()
 def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
                         all_rules: bool = False,
                         check_soundness: bool = True) -> TrivialityCertificate:
@@ -260,6 +262,8 @@ class SpacePoincare:
     @staticmethod
     def sphere(n: int) -> "SpacePoincare":
         """S^n: a single reduced class in degree n (n = 0 is two points)."""
+        if n < 0:
+            raise ValueError(f"sphere dimension must be >= 0, got {n}")
         return SpacePoincare((0,) * n + (1,))
 
     @staticmethod

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, alexander_dual, make_complex,
-                        minimal_nonfaces, verts)
+                        minimal_nonfaces, run, verts)
 from .certify import (SpacePoincare, bbcg_summands, certify_fwf_trivial,
                       golod_report)
 from .criteria import (DEFAULT_BUDGET, fill_search, is_dual_scm,
@@ -100,10 +100,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _profile_json(profile) -> list:
-    return profile.to_json()
-
-
 # -- subcommand implementations ----------------------------------------------
 
 def _cmd_homology(args) -> int:
@@ -111,7 +107,7 @@ def _cmd_homology(args) -> int:
     ring = ring_from_string(args.coeff)
     prof = reduced_homology(doc.complex(), ring)
     _emit({"name": doc.name, "command": "homology", "ring": repr(ring),
-           "reduced_homology": _profile_json(prof)})
+           "reduced_homology": prof.to_json()})
     return 0
 
 
@@ -124,7 +120,7 @@ def _cmd_rmac(args) -> int:
     _emit({"name": doc.name, "command": "rmac",
            "face_counts": {str(d): n for d, n in C.counts().items()},
            "total_faces": C.total_faces(),
-           "homology": _profile_json(rep.lhs),
+           "homology": rep.lhs.to_json(),
            "hochster_identity": rep.equal,
            "ring": repr(ring)})
     return 0
@@ -278,6 +274,17 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    parse.__name__ = "int"    # argparse names the type when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fatwedge",
@@ -318,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("certify", _cmd_certify, "certify fat wedge filtration triviality")
     arg_complex(p)
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_BUDGET)
     p.add_argument("--all-rules", action="store_true")
 
     p = add("bbcg", _cmd_bbcg, "wedge decomposition report")
     arg_complex(p)
     p.add_argument("--coeff", default="Z")
-    p.add_argument("--pair", type=int, default=1,
+    p.add_argument("--pair", type=_at_least(1), default=1,
                    help="n for the pair (D^n, S^(n-1)); default 1")
     p.add_argument("--betti", default=None,
                    help="semicolon-separated Betti polynomials, one per "
@@ -334,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     arg_complex(p)
     p.add_argument("--mode", default="contractible",
                    help="'contractible' or 'p:<prime>'")
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_BUDGET)
 
     p = add("shell", _cmd_shell, "shelling order search")
     arg_complex(p)
     p.add_argument("--dual", action="store_true",
                    help="search the Alexander dual instead")
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_BUDGET)
 
     p = add("scm", _cmd_scm, "sequential Cohen-Macaulay check")
     arg_complex(p)
@@ -356,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@run()
 def run_command(argv) -> int:
     ap = build_parser()
     try:

@@ -14,12 +14,51 @@ duality and full-subcomplex bookkeeping are sensitive to the ambient set.
 Complexes are immutable after construction and hashable; face enumeration is
 memoized per dimension on first use, which is safe to share between threads
 under the GIL (worst case the cache is filled twice with equal values).
+
+Results that equal complexes share -- full subcomplexes, simplicial chain
+complexes with their reductions, Koszul piece tables, component fill reports
+-- live in one store, keyed by (kind, complex, ...) tuples, so an equal
+complex held in another object finds them too.  The store lives as long as a
+run: the outermost ``with run():`` (or ``@run()`` function) opens it, nested
+runs join it, and it is dropped when that outermost run ends.  Outside a run
+``shared`` just builds.  The store belongs to the context of the thread that
+opened it; a new thread starts outside any run.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+_STORE: ContextVar[dict | None] = ContextVar("fatwedge_store", default=None)
+
+
+@contextmanager
+def run():
+    """Open the store for the duration of the block, or join an open one."""
+    if _STORE.get() is not None:
+        yield
+        return
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def shared(key: Hashable, build: Callable[[], T]) -> T:
+    """The run's value for key, built on first use; outside a run, build()."""
+    store = _STORE.get()
+    if store is None:
+        return build()
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+    return value
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -60,7 +99,7 @@ class SimplicialComplex:
     """Immutable simplicial complex on the ground set [m], given by facets."""
 
     __slots__ = ("m", "facets", "_faces_by_dim", "_minimal_nonfaces",
-                 "_full_sub_cache", "_hash", "__weakref__")
+                 "_hash", "__weakref__")
 
     def __init__(self, m: int, facets: Iterable[int], *, _trusted: bool = False):
         if m < 1:
@@ -78,7 +117,6 @@ class SimplicialComplex:
         self.facets = tuple(sorted(set(fl), key=_facet_sort_key))
         self._faces_by_dim: dict[int, tuple[int, ...]] | None = None
         self._minimal_nonfaces: tuple[int, ...] | None = None
-        self._full_sub_cache: dict[int, "SimplicialComplex"] = {}
         self._hash = hash((self.m, self.facets))
 
     # -- basic structure ---------------------------------------------------
@@ -256,14 +294,12 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex
     if not Iset:
         return empty_complex(1)
     imask = mask_of(Iset)
-    cached = K._full_sub_cache.get(imask)
-    if cached is not None:
-        return cached
-    restricted = _maximal(f & imask for f in K.facets)
-    sub = SimplicialComplex(len(Iset), tuple(_compress(f, imask) for f in restricted),
-                            _trusted=True)
-    K._full_sub_cache[imask] = sub
-    return sub
+
+    def build() -> SimplicialComplex:
+        restricted = _maximal(f & imask for f in K.facets)
+        return SimplicialComplex(len(Iset), tuple(_compress(f, imask) for f in restricted),
+                                 _trusted=True)
+    return shared(("full_sub", K, imask), build)
 
 
 def _compress(mask: int, imask: int) -> int:
@@ -379,13 +415,6 @@ def alexander_dual(K: SimplicialComplex, ambient: int | None = None) -> Simplici
         raise ValueError("Alexander dual of the full simplex is the void complex")
     full = (1 << s) - 1
     return SimplicialComplex(s, tuple(full ^ M for M in mnf), _trusted=True)
-
-
-def with_ground(K: SimplicialComplex, m: int) -> SimplicialComplex:
-    """The same facets viewed on a larger ground set [m] (adds ghost vertices)."""
-    if m < K.m and (K.support & ~((1 << m) - 1)):
-        raise ValueError("new ground set drops actual vertices")
-    return SimplicialComplex(m, K.facets, _trusted=True)
 
 
 # -- generated subcomplexes ------------------------------------------------

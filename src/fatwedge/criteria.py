@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, alexander_dual, full_subcomplex,
                         generated_subcomplex, is_chordal, link, mask_of,
-                        minimal_nonfaces, verts)
+                        minimal_nonfaces, shared, verts)
 from .homology import (CoefficientRing, GF, ZZ, HomologyProfile,
                        build_simplicial_chain_complex, chain_homology,
                        is_i_acyclic, reduced_homology)
@@ -422,7 +422,6 @@ def filling_from_dual_shelling(K: SimplicialComplex, order: ShellingOrder) -> Fi
 
 @dataclass(frozen=True)
 class ComponentFillReport:
-    vertices: tuple[int, ...]
     status: str                       # "certified" | "refuted" | "unknown"
     fillings_by_prime: tuple = ()     # ((label, nonface tuples) ...)
     refuted_at: str | None = None
@@ -461,8 +460,9 @@ def is_homology_fillable(K: SimplicialComplex,
         return HomologyFillableVerdict("certified", ())
     reports = []
     for cmask in comps:
-        reports.append(_component_fill_report(full_subcomplex(K, verts(cmask)),
-                                              verts(cmask), max_subsets))
+        L = full_subcomplex(K, verts(cmask))
+        reports.append(shared(("fill_report", L, max_subsets),
+                              lambda: _component_fill_report(L, max_subsets)))
     if any(r.status == "refuted" for r in reports):
         status = "refuted"
     elif any(r.status == "unknown" for r in reports):
@@ -472,38 +472,34 @@ def is_homology_fillable(K: SimplicialComplex,
     return HomologyFillableVerdict(status, tuple(reports))
 
 
-def _component_fill_report(L: SimplicialComplex, vertices, max_subsets) -> ComponentFillReport:
+def _component_fill_report(L: SimplicialComplex, max_subsets) -> ComponentFillReport:
     mnf = minimal_nonfaces(L)
     r = len(mnf)
     if 1 << r > max_subsets:
-        return ComponentFillReport(vertices, "unknown",
-                                   refuted_at=None,
+        return ComponentFillReport("unknown", refuted_at=None,
                                    simply_connected_surrogate=None)
     rank_zero: list[tuple[tuple[int, ...], HomologyProfile]] = []
     for size in range(0, r + 1):
         for combo in itertools.combinations(range(r), size):
             chosen = tuple(mnf[i] for i in combo)
-            if chosen:
-                # a filling is asked about once: keep it out of the memo
-                chains = build_simplicial_chain_complex(_filled(L, chosen))
-                prof = chain_homology(chains, ZZ)
-            else:
-                prof = reduced_homology(L, ZZ)
+            # the 2^r fillings skip the run's store, which they would swell
+            chains = build_simplicial_chain_complex(_filled(L, chosen))
+            prof = chain_homology(chains, ZZ)
             if not prof.free:
                 rank_zero.append((chosen, prof))
     if not rank_zero:
-        return ComponentFillReport(vertices, "refuted", refuted_at="Q")
+        return ComponentFillReport("refuted", refuted_at="Q")
     primes = sorted({p for _, prof in rank_zero for p in prof.torsion_primes()})
     fillings = [("Q", [verts(M) for M in rank_zero[0][0]])]
     for p in primes:
         pick = next((chosen for chosen, prof in rank_zero
                      if p not in prof.torsion_primes()), None)
         if pick is None:
-            return ComponentFillReport(vertices, "refuted", refuted_at=f"p={p}")
+            return ComponentFillReport("refuted", refuted_at=f"p={p}")
         fillings.append((f"p={p}", [verts(M) for M in pick]))
     chordal, spanned = _simply_connected_surrogate(L, mnf)
     ok = chordal and spanned
-    return ComponentFillReport(vertices, "certified" if ok else "unknown",
+    return ComponentFillReport("certified" if ok else "unknown",
                                fillings_by_prime=tuple(fillings),
                                simply_connected_surrogate=ok,
                                chordal_one_skeleton=chordal,
@@ -543,15 +539,6 @@ def _has_gcd_witnesses(ms) -> tuple[bool, int]:
                        for k in range(r)):
                 return False, pairs
     return True, pairs
-
-
-def is_strong_gcd_order(K: SimplicialComplex, order) -> bool:
-    """Validate a strong gcd-order: every disjoint pair of minimal non-faces
-    must have a third minimal non-face inside its union.  The witness may sit
-    anywhere else in the order."""
-    ms = list(order)
-    return (sorted(ms) == sorted(minimal_nonfaces(K))
-            and _has_gcd_witnesses(ms)[0])
 
 
 def strong_gcd_search(K: SimplicialComplex) -> SearchResult:

@@ -15,22 +15,18 @@ forms give the bases over Z, Q and Z/p, with integer generators and
 coordinates for every ring.
 
 A chain complex reduces itself over Z once, on first use, and keeps that
-reduction and the profile of every ring it is asked for; the simplicial chain
-complex of a complex is memoized, so every ring and every caller share one
-reduction.  ``build_simplicial_chain_complex`` builds one without the memo,
-for complexes that are asked about once.  The memos are safe to share
-between threads under the GIL (worst case a profile is computed twice with
-equal values).
+reduction and the profile of every ring it is asked for, so every ring shares
+one reduction.  The reductions are safe to share between threads under the
+GIL (worst case a profile is computed twice with equal values).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import SimplicialComplex, full_subcomplex, verts
+from .complexes import SimplicialComplex, full_subcomplex, run, shared, verts
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
                   rank_mod_p, smith_normal_form)
 
@@ -95,7 +91,8 @@ class ChainComplex:
     use by ``chain_homology``.
     """
 
-    __slots__ = ("basis", "boundary", "_index", "_rank_divisors", "_profiles")
+    __slots__ = ("basis", "boundary", "_index", "_rank_divisors", "_profiles",
+                 "__weakref__")
 
     def __init__(self, basis: Mapping[int, Sequence], boundary: Mapping[int, Sequence[dict]]):
         self.basis = {q: tuple(cells) for q, cells in basis.items() if len(cells) > 0}
@@ -260,11 +257,7 @@ def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
 
 
 def build_simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
-    """Augmented simplicial chains; d[v0..vq] = sum (-1)^i [v0..^vi..vq].
-
-    Not memoized: for complexes that are asked about once, such as the
-    fillings a search tries, so that they do not stay in the shared memo.
-    """
+    """Augmented simplicial chains; d[v0..vq] = sum (-1)^i [v0..^vi..vq]."""
     basis: dict[int, tuple[int, ...]] = {}
     for d in range(-1, K.dim + 1):
         cells = K.faces(d)
@@ -287,9 +280,9 @@ def build_simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
     return ChainComplex(basis, boundary)
 
 
-#: the one memo of simplicial chains (with their reductions), shared by every
-#: ring and every caller
-simplicial_chain_complex = lru_cache(maxsize=None)(build_simplicial_chain_complex)
+def simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
+    """The run's simplicial chain complex of K (see ``complexes.run``)."""
+    return shared(("chains", K), lambda: build_simplicial_chain_complex(K))
 
 
 def reduced_homology(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:
@@ -325,6 +318,7 @@ def hodim(K: SimplicialComplex) -> int | None:
     return max(cands) if cands else None
 
 
+@run()
 def dK(K: SimplicialComplex) -> int | None:
     """max over nonempty I of hodim(K_I); None when every K_I is acyclic."""
     best: int | None = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, subsets_of
+from .complexes import SimplicialComplex, run, subsets_of
 from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
                        chain_homology, full_subcomplex_homology)
 
@@ -141,6 +141,7 @@ class HochsterReport:
                 "subcomplex_sum": self.rhs.to_json()}
 
 
+@run()
 def hochster_identity_check(K: SimplicialComplex, ring: CoefficientRing = ZZ,
                             max_m: int = DEFAULT_MAX_M,
                             allow_large: bool = False) -> HochsterReport:

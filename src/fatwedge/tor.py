@@ -9,9 +9,9 @@ u_omega v_sigma . u_omega' v_sigma' = +-u_{omega+omega'} v_{sigma+sigma'}
 when the four supports are pairwise disjoint and sigma+sigma' is a face,
 else zero.  Both preserve the multidegree, so the algebra splits into one
 finite cochain complex per subset I of [m], whose basis is just the faces of
-K contained in I.  These pieces are integral, so each is built and reduced
-once per complex and shared by every field; only the cocycle bases used for
-products depend on the field.
+K contained in I.  These pieces are integral, so one piece and its reduction
+serve every field; only the cocycle bases used for products depend on the
+field.
 
 Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
@@ -22,39 +22,12 @@ pieces.  They compute the same pairing through entirely different chain data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import (SimplicialComplex, full_subcomplex, join,
-                        relabel_map, verts)
+                        relabel_map, run, shared, verts)
 from .homology import (DD_ZERO_CHECKS, ChainComplex, CoefficientRing, ZZ,
                        HomologyBasis, chain_homology, full_subcomplex_homology,
                        is_zero_on_homology, reduced_homology)
-
-
-@dataclass(frozen=True)
-class TorBasisElement:
-    """Monomial u_omega v_sigma; omega and sigma are disjoint vertex masks."""
-
-    omega: int
-    sigma: int
-
-    @property
-    def total_degree(self) -> int:
-        return self.omega.bit_count() + 2 * self.sigma.bit_count()
-
-    @property
-    def multidegree(self) -> int:
-        return self.omega | self.sigma
-
-    def __str__(self) -> str:
-        u = ",".join(map(str, verts(self.omega)))
-        v = ",".join(map(str, verts(self.sigma)))
-        out = []
-        if u:
-            out.append(f"u[{u}]")
-        if v:
-            out.append(f"v[{v}]")
-        return "*".join(out) if out else "1"
 
 
 def _merge_sign(mask_a: int, mask_b: int) -> int:
@@ -132,12 +105,6 @@ class _Piece:
         return chain_homology(self._cc, ring).betti(-t)
 
 
-@lru_cache(maxsize=None)
-def _piece_table(K: SimplicialComplex) -> dict[int, _Piece]:
-    """The Koszul pieces of K built so far, by multidegree, for every field."""
-    return {}
-
-
 class TorAlgebra:
     """Bigraded cohomology of the Koszul-type model, with products."""
 
@@ -146,7 +113,8 @@ class TorAlgebra:
             raise ValueError(f"Tor model needs a field, got {field}")
         self.K = K
         self.field = field
-        self._pieces = _piece_table(K)
+        # the pieces built so far, by multidegree, shared by every field
+        self._pieces: dict[int, _Piece] = shared(("pieces", K), dict)
 
     def piece(self, imask: int) -> _Piece:
         pc = self._pieces.get(imask)
@@ -311,6 +279,7 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
     return GolodVerdict(True, field, "tor")
 
 
+@run()
 def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVerdict:
     """Golodness oracle via joins: for every pair of disjoint nonempty
     I, J the inclusion K_{I u J} -> K_I * K_J must vanish in homology.

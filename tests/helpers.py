@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from math import gcd
 
-from fatwedge.complexes import join, make_complex, verts
+from fatwedge.complexes import (SimplicialComplex, join, make_complex,
+                                minimal_nonfaces, verts)
 from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
-                               _Budget, _face_set, _free_pairs)
+                               _Budget, _face_set, _free_pairs,
+                               _has_gcd_witnesses)
 from fatwedge.rmac import build_rmac
-from fatwedge.tor import TorBasisElement, _merge_sign
+from fatwedge.tor import _merge_sign
 
 
 def random_complex(rng: random.Random, max_m: int = 7, min_m: int = 1):
@@ -39,6 +42,13 @@ def random_graph(rng: random.Random, max_m: int = 8, min_m: int = 2):
         if rng.random() < p:
             gens.append([a, b])
     return make_complex(m, gens)
+
+
+def with_ground(K: SimplicialComplex, m: int) -> SimplicialComplex:
+    """The same facets viewed on a larger ground set [m] (adds ghost vertices)."""
+    if m < K.m and (K.support & ~((1 << m) - 1)):
+        raise ValueError("new ground set drops actual vertices")
+    return SimplicialComplex(m, K.facets, _trusted=True)
 
 
 def random_matrix(rng: random.Random, max_n: int = 8, lo: int = -9, hi: int = 9):
@@ -297,12 +307,47 @@ def is_weak_shelling(K, order) -> bool:
     return True
 
 
+def is_strong_gcd_order(K: SimplicialComplex, order) -> bool:
+    """Validate a strong gcd-order: every disjoint pair of minimal non-faces
+    must have a third minimal non-face inside its union.  The witness may sit
+    anywhere else in the order."""
+    ms = list(order)
+    return (sorted(ms) == sorted(minimal_nonfaces(K))
+            and _has_gcd_witnesses(ms)[0])
+
+
 def rmac_face_counts_of_join(K1, K2) -> bool:
     """Product rule: |faces(RZ_{K1*K2})| = |faces(RZ_K1)| * |faces(RZ_K2)|."""
     a = build_rmac(K1).total_faces()
     b = build_rmac(K2).total_faces()
     c = build_rmac(join(K1, K2), max_m=K1.m + K2.m, allow_large=True).total_faces()
     return a * b == c
+
+
+@dataclass(frozen=True)
+class TorBasisElement:
+    """Monomial u_omega v_sigma; omega and sigma are disjoint vertex masks."""
+
+    omega: int
+    sigma: int
+
+    @property
+    def total_degree(self) -> int:
+        return self.omega.bit_count() + 2 * self.sigma.bit_count()
+
+    @property
+    def multidegree(self) -> int:
+        return self.omega | self.sigma
+
+    def __str__(self) -> str:
+        u = ",".join(map(str, verts(self.omega)))
+        v = ",".join(map(str, verts(self.sigma)))
+        out = []
+        if u:
+            out.append(f"u[{u}]")
+        if v:
+            out.append(f"v[{v}]")
+        return "*".join(out) if out else "1"
 
 
 def verify_leibniz(K, e1: TorBasisElement, e2: TorBasisElement) -> bool:

@@ -12,14 +12,15 @@ import time
 from fatwedge.certify import (SpacePoincare, bbcg_summands, certify_fwf_trivial,
                               golod_report)
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex, is_chordal,
-                                full_subcomplex, make_complex)
+                                full_subcomplex, make_complex, run)
 from fatwedge.corpus import corpus_names, load
 from fatwedge.criteria import (collapse_search, fill_search,
                                filling_from_dual_shelling, is_dual_scm,
                                is_dual_shellable, is_homology_fillable,
                                strong_gcd_search)
-from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ, dK, is_acyclic,
-                               reduced_homology, simplicial_chain_complex)
+from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ,
+                               build_simplicial_chain_complex, dK, is_acyclic,
+                               reduced_homology)
 from fatwedge.rmac import (build_rmac, cubical_chain_complex, cubical_homology,
                            hochster_identity_check)
 from fatwedge.snf import smith_normal_form
@@ -97,28 +98,34 @@ def test_criterion_04_alexander_duality():
 
 
 def test_criterion_05_tor_hochster_formula():
+    # one run per complex: both fields share its Koszul pieces and its K_I
     t0 = time.monotonic()
     rng = random.Random(1005)
     for _ in range(60):
         K = random_complex(rng, max_m=6)
-        for ring in (QQ, GF(2)):
-            assert hochster_tor_check(K, ring).equal
+        with run():
+            for ring in (QQ, GF(2)):
+                assert hochster_tor_check(K, ring).equal
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _report(5, "Tor dimensions match the full-subcomplex cohomology sum", t0)
 
 
 def test_criterion_06_golod_double_oracle():
+    # one run per complex: both rings share its Koszul pieces and its K_I
     t0 = time.monotonic()
     for name, K in corpus_complexes():
-        for ring in (QQ, GF(2)):
-            assert golod_via_tor(K, ring).golod == \
-                golod_via_join(K, ring).golod, (name, ring)
+        with run():
+            for ring in (QQ, GF(2)):
+                assert golod_via_tor(K, ring).golod == \
+                    golod_via_join(K, ring).golod, (name, ring)
     rng = random.Random(1006)
     for _ in range(100):
         K = random_complex(rng, max_m=6)
-        for ring in (QQ, GF(2)):
-            assert golod_via_tor(K, ring).golod == golod_via_join(K, ring).golod
+        with run():
+            for ring in (QQ, GF(2)):
+                assert golod_via_tor(K, ring).golod == \
+                    golod_via_join(K, ring).golod
     _report(6, "Golod oracles agree on corpus and 100 random complexes", t0)
 
 
@@ -160,7 +167,9 @@ def test_criterion_08_rp2_worked_example():
     _report(8, "6-vertex projective plane worked example", t0)
 
 
+@run()
 def test_criterion_09_berglund_worked_example():
+    # one run: every question below is asked of the same complex and its K_I
     t0 = time.monotonic()
     K = load("berglund_10").complex()
     assert is_acyclic(K, ZZ)
@@ -223,12 +232,12 @@ def test_criterion_13_boundary_squared_zero_everywhere():
     t0 = time.monotonic()
     # construction-time verification raises on any violation, so building
     # without an error means d^2 = 0 held; build enough complexes here that
-    # the checks provably ran, then re-verify them independently.  The memos
-    # are bypassed so that every call constructs a new chain complex or
-    # Koszul piece.
+    # the checks provably ran, then re-verify them independently.  The
+    # run's store is bypassed so that every call constructs a new chain
+    # complex or Koszul piece.
     chain_before = DD_ZERO_CHECKS["chain_complexes"]
     rng = random.Random(1013)
-    samples = [simplicial_chain_complex.__wrapped__(random_complex(rng, max_m=6))
+    samples = [build_simplicial_chain_complex(random_complex(rng, max_m=6))
                for _ in range(101)]
     assert DD_ZERO_CHECKS["chain_complexes"] - chain_before > 100
     koszul_before = DD_ZERO_CHECKS["koszul_pieces"]

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -7,13 +9,16 @@ from fatwedge.certify import (RULE_DIM, RULE_DUAL_SCM, RULE_DUAL_SHELLABLE,
                               RULE_LOW_DUAL, RULE_NEIGHBORLY, RULE_NON_GOLOD,
                               SpacePoincare, _try_all_fillable, bbcg_summands,
                               certify_fwf_trivial, golod_report)
-from fatwedge.complexes import (boundary_of_simplex, is_chordal, make_complex,
-                                simplex, skeleton_of_simplex)
+from fatwedge import homology
+from fatwedge.complexes import (SimplicialComplex, boundary_of_simplex,
+                                full_subcomplex, is_chordal, make_complex, run,
+                                simplex, skeleton_of_simplex, verts)
 from fatwedge.corpus import berglund_complex, corpus_names, load
-from fatwedge.homology import ZZ
-from fatwedge.rmac import build_rmac, cubical_homology
+from fatwedge.criteria import is_homology_fillable
+from fatwedge.homology import ZZ, reduced_homology
+from fatwedge.rmac import build_rmac, cubical_homology, hochster_identity_check
 
-from helpers import random_graph
+from helpers import random_complex, random_graph
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 PATH = make_complex(4, [[1, 2], [2, 3], [3, 4]])
@@ -111,6 +116,12 @@ class TestSpacePoincare:
         assert SpacePoincare.sphere(0).betti == (1,)
         assert SpacePoincare.sphere(2).betti == (0, 0, 1)
 
+    def test_negative_sphere_rejected(self):
+        # (1,) would be S^0, not a sphere of negative dimension
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="sphere dimension"):
+                SpacePoincare.sphere(n)
+
     def test_parse(self):
         assert SpacePoincare.from_string("t^2").betti == (0, 0, 1)
         assert SpacePoincare.from_string("1+2t^3").betti == (1, 0, 0, 2)
@@ -190,3 +201,40 @@ class TestGraphGolodEqualsChordal:
         for _ in range(15):
             G = random_graph(rng, max_m=6)
             assert golod_report(G).golod == is_chordal(G)
+
+
+class TestRunScopedStore:
+    def test_chain_complexes_die_with_the_run(self, monkeypatch):
+        refs = []
+        build = homology.build_simplicial_chain_complex
+
+        def tracked(K):
+            cc = build(K)
+            refs.append(weakref.ref(cc))
+            return cc
+
+        monkeypatch.setattr(homology, "build_simplicial_chain_complex", tracked)
+        cert = certify_fwf_trivial(RP2)
+        assert cert.verdict == "trivial" and refs
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_answers_equal_inside_and_outside_a_run(self):
+        rng = random.Random(808)
+        cases = [random_complex(rng, max_m=5) for _ in range(12)] + [C4, PATH]
+
+        def answers(K):
+            return (reduced_homology(K, ZZ),
+                    [full_subcomplex(K, verts(i)) for i in range(1, 1 << K.m)],
+                    is_homology_fillable(K), hochster_identity_check(K, ZZ),
+                    golod_report(K).to_json(),
+                    certify_fwf_trivial(K, budget=2000).to_json())
+
+        outside = [answers(K) for K in cases]
+        with run():
+            # twice, the second time from the store, and once more through
+            # an equal complex held in another object
+            for _ in range(2):
+                assert [answers(K) for K in cases] == outside
+            assert [answers(SimplicialComplex(K.m, K.facets))
+                    for K in cases] == outside

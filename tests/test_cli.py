@@ -91,6 +91,21 @@ class TestCommands:
         code, out = run(capsys, "bbcg", "c4", "--pair", "2")
         assert out["wedge"] == "S^3 v S^3 v S^6"
 
+    def test_bbcg_pair_below_one_is_a_usage_error(self, capsys):
+        # the pair (D^0, S^-1) does not exist; it used to be read as pair 1
+        for pair in ("0", "-1"):
+            assert run_command(["bbcg", "c4", "--pair", pair]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "must be >= 1" in captured.err
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        for cmd in ("certify", "fill", "shell"):
+            assert run_command([cmd, "c4", "--budget-nodes", "-3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "must be >= 0" in captured.err
+        code, out = run(capsys, "shell", "c4", "--budget-nodes", "0")
+        assert code == 3 and out["status"] == "exhausted"
+
     def test_bbcg_betti(self, capsys):
         code, out = run(capsys, "bbcg", "boundary_d2", "--betti", "t+t^3")
         assert code == 0

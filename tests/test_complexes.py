@@ -1,19 +1,20 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatwedge.complexes import (SimplicialComplex, alexander_dual,
+from fatwedge.complexes import (_STORE, SimplicialComplex, alexander_dual,
                                 boundary_of_simplex, cone, deletion,
                                 empty_complex, flag_complex, full_subcomplex,
                                 generated_subcomplex, is_chordal,
                                 is_k_neighborly, join, link, make_complex,
                                 mask_of, max_neighborliness, minimal_nonfaces,
-                                simplex, skeleton_of_simplex, star,
-                                suspension, verts, with_ground)
+                                run, shared, simplex, skeleton_of_simplex,
+                                star, suspension, verts)
 from fatwedge.corpus import berglund_complex
 
-from helpers import brute_force_faces, random_complex
+from helpers import brute_force_faces, random_complex, with_ground
 
 
 @st.composite
@@ -291,3 +292,47 @@ class TestNeighborliness:
                 direct = k - 1
                 break
         assert mn == direct
+
+
+class TestRunScopedStore:
+    def test_outside_a_run_nothing_is_kept(self):
+        assert shared(("test", 1), object) is not shared(("test", 1), object)
+
+    def test_nested_runs_share_one_store(self):
+        with run():
+            first = shared(("test", 1), object)
+            with run():
+                assert shared(("test", 1), object) is first
+                inner = shared(("test", 2), object)
+            # the inner run joined the outer one, so its results stay
+            assert shared(("test", 2), object) is inner
+            assert shared(("test", 1), object) is first
+        assert _STORE.get() is None
+        with run():
+            assert shared(("test", 1), object) is not first
+
+    def test_decorator_opens_a_run_per_call(self):
+        @run()
+        def two_lookups():
+            return shared(("test", 1), object), shared(("test", 1), object)
+
+        a, b = two_lookups()
+        assert a is b and two_lookups()[0] is not a
+
+    def test_a_new_thread_does_not_see_the_run(self):
+        seen = []
+        with run():
+            mine = shared(("test", 1), object)
+            t = threading.Thread(target=lambda: seen.append(
+                (_STORE.get(), shared(("test", 1), object))))
+            t.start()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen[0][0] is None and seen[0][1] is not mine
+
+    def test_equal_complexes_share_one_full_subcomplex(self):
+        K = berglund_complex()
+        twin = SimplicialComplex(K.m, K.facets)
+        with run():
+            assert full_subcomplex(twin, (1, 2, 5)) is full_subcomplex(K, (1, 2, 5))
+        assert full_subcomplex(K, (1, 2, 5)) == full_subcomplex(twin, (1, 2, 5))

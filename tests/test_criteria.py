@@ -7,20 +7,19 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
-                                make_complex, simplex, skeleton_of_simplex,
-                                verts)
+from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
+                                make_complex, run, simplex,
+                                skeleton_of_simplex, verts)
 from fatwedge.corpus import berglund_complex
 from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
                                filling_from_dual_shelling, is_cm,
                                is_collapse_sequence, is_dual_scm,
                                is_dual_shellable, is_homology_fillable, is_scm,
-                               is_shelling, is_strong_gcd_order,
-                               shelling_search, spanning_facets,
-                               strong_gcd_search)
-from fatwedge.homology import QQ, ZZ, is_acyclic, simplicial_chain_complex
+                               is_shelling, shelling_search,
+                               spanning_facets, strong_gcd_search)
+from fatwedge.homology import QQ, ZZ, is_acyclic
 
-from helpers import (is_weak_shelling, random_complex,
+from helpers import (is_strong_gcd_order, is_weak_shelling, random_complex,
                      reference_collapse_search, reference_shelling_ok,
                      reference_shelling_search, weak_shelling_search)
 from test_complexes import complexes
@@ -250,12 +249,25 @@ class TestHomologyFillable:
 
     def test_fillings_stay_out_of_the_chain_memo(self):
         # the pentagon has r = 5 minimal non-faces, so 2^5 fillings are
-        # tried; they are asked about once and must not be memoized
+        # tried; they must skip the run's store, which keeps the report
         pentagon = make_complex(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
-        simplicial_chain_complex.cache_clear()
-        verdict = is_homology_fillable(pentagon)
+        with run():
+            verdict = is_homology_fillable(pentagon)
+            store = _STORE.get()
+            chains = [key for key in store if key[0] == "chains"]
+            reports = [key for key in store if key[0] == "fill_report"]
         assert verdict.status == "refuted"
-        assert simplicial_chain_complex.cache_info().currsize < 2 ** 5
+        assert len(chains) <= 1 and len(reports) == 1
+
+    def test_equal_components_share_one_report(self):
+        # four disjoint edges: four equal components, one report per run
+        edges = make_complex(8, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        with run():
+            verdict = is_homology_fillable(edges)
+            reports = [key for key in _STORE.get() if key[0] == "fill_report"]
+        assert verdict.certified and len(verdict.components) == 4
+        assert len(reports) == 1
+        assert all(c is verdict.components[0] for c in verdict.components)
 
 
 class TestGcdAndWeakShelling:

@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
                                 empty_complex, full_subcomplex, join,
-                                make_complex, simplex, verts, with_ground)
+                                make_complex, run, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
-from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, chain_homology, dK,
-                               hodim, induced_map_on_homology, is_acyclic,
+from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis,
+                               build_simplicial_chain_complex, chain_homology,
+                               dK, hodim, induced_map_on_homology, is_acyclic,
                                is_i_acyclic, is_zero_on_homology,
                                reduced_homology, simplicial_chain_complex)
 from fatwedge.snf import complex_rank_divisors
 
-from helpers import naive_rank_mod_p, naive_snf_divisors, random_complex
+from helpers import (naive_rank_mod_p, naive_snf_divisors, random_complex,
+                     with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -115,7 +117,7 @@ class TestOneReductionPerComplex:
     rings = (ZZ, QQ, GF(2), GF(3))
 
     def test_every_ring_shares_one_reduction(self, monkeypatch):
-        fresh = simplicial_chain_complex.__wrapped__
+        fresh = build_simplicial_chain_complex
         want = {ring: chain_homology(fresh(self.K), ring) for ring in self.rings}
         assert want[ZZ].torsion_at(1) == (2,) and want[GF(2)].betti(2) == 1
         calls = []
@@ -152,12 +154,12 @@ class TestOneReductionPerComplex:
 
         monkeypatch.setattr(homology, "smith_normal_form", lossy)
         for K, ring, q in ((self.K, GF(2), 2), (C4, QQ, 1), (C4, ZZ, 1)):
-            cc = simplicial_chain_complex.__wrapped__(K)
+            cc = build_simplicial_chain_complex(K)
             with pytest.raises(AssertionError, match="rank mismatch"):
                 HomologyBasis(cc, ring, q)
         monkeypatch.setattr(homology, "smith_normal_form", exact)
         for K, ring, q in ((self.K, GF(2), 2), (self.K, ZZ, 1), (C4, QQ, 1), (C4, ZZ, 1)):
-            cc = simplicial_chain_complex.__wrapped__(K)
+            cc = build_simplicial_chain_complex(K)
             assert HomologyBasis(cc, ring, q).rank == 1
 
 
@@ -337,9 +339,10 @@ class TestHomologyBases:
                      for _ in range(rng.randint(1, 3))]
             pool.append(make_complex(7, [verts(f) for f in RP2.facets] + extra))
         for K in pool:
-            for ring in self.rings:
-                for q in range(-1, K.dim + 1):
-                    self._check(K, ring, q, rng)
+            with run():    # one chain complex per K, for every ring and degree
+                for ring in self.rings:
+                    for q in range(-1, K.dim + 1):
+                        self._check(K, ring, q, rng)
 
 
 class TestNeighborlyAcyclicity:

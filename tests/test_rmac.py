@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
-                                make_complex, simplex, skeleton_of_simplex)
+                                make_complex, run, simplex,
+                                skeleton_of_simplex)
 from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ, ChainComplex
 from fatwedge.rmac import (CubicalComplex, build_rmac, cubical_chain_complex,
                            cubical_homology, hochster_identity_check,
@@ -202,8 +203,9 @@ class TestHochsterIdentity:
         rng = random.Random(8)
         for _ in range(20):
             K = random_complex(rng, max_m=8, min_m=7)
-            for ring in (ZZ, GF(2)):
-                assert hochster_identity_check(K, ring).equal
+            with run():    # both rings share the chain complexes of the K_I
+                for ring in (ZZ, GF(2)):
+                    assert hochster_identity_check(K, ring).equal
 
     def test_skeleta_against_closed_form(self):
         # K_I of sk_k Delta^{m-1} is sk_k of a simplex on |I| = j vertices,
