@@ -33,11 +33,6 @@ RULE_FILLABLE = "ALL_FULLSUB_FILLABLE"
 RULE_HOMOLOGY_FILLABLE = "ALL_FULLSUB_HOMOLOGY_FILLABLE"
 RULE_NON_GOLOD = "NON_GOLOD_OBSTRUCTION"
 
-#: evaluation order, cheapest first
-RULE_ORDER = (RULE_DIM, RULE_FLAG, RULE_LOW_DUAL, RULE_NEIGHBORLY,
-              RULE_DUAL_SHELLABLE, RULE_DUAL_SCM, RULE_FILLABLE,
-              RULE_HOMOLOGY_FILLABLE)
-
 
 @dataclass(frozen=True)
 class GolodReport:
@@ -186,16 +181,17 @@ def _try_all_homology_fillable(K: SimplicialComplex, budget: int):
     return {"full_subcomplexes": (1 << K.m) - 1}
 
 
-_RULES = {
-    RULE_DIM: _try_dim,
-    RULE_FLAG: _try_flag_chordal,
-    RULE_LOW_DUAL: _try_low_dual_dim,
-    RULE_NEIGHBORLY: _try_neighborly,
-    RULE_DUAL_SHELLABLE: _try_dual_shellable,
-    RULE_DUAL_SCM: _try_dual_scm,
-    RULE_FILLABLE: _try_all_fillable,
-    RULE_HOMOLOGY_FILLABLE: _try_all_homology_fillable,
-}
+#: (rule, check) in evaluation order, cheapest first
+_RULES = (
+    (RULE_DIM, _try_dim),
+    (RULE_FLAG, _try_flag_chordal),
+    (RULE_LOW_DUAL, _try_low_dual_dim),
+    (RULE_NEIGHBORLY, _try_neighborly),
+    (RULE_DUAL_SHELLABLE, _try_dual_shellable),
+    (RULE_DUAL_SCM, _try_dual_scm),
+    (RULE_FILLABLE, _try_all_fillable),
+    (RULE_HOMOLOGY_FILLABLE, _try_all_homology_fillable),
+)
 
 
 @run()
@@ -216,14 +212,15 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     fired_rule = None
     fired_evidence = None
     rules_run = []
-    for name in RULE_ORDER:
+    for name, check in _RULES:
         if fired_rule is not None and not all_rules:
             break
-        ev = _RULES[name](K, budget)
+        ev = check(K, budget)
         rules_run.append((name, "fired" if ev is not None else "not_fired"))
         if ev is not None and fired_rule is None:
             fired_rule = name
             fired_evidence = ev
+    recorded = tuple(rules_run) if all_rules else ()
     if fired_rule is not None:
         # triviality implies Golodness only when every element of [m] is a
         # vertex; ghost elements carry degree -1 classes invisible to the
@@ -235,16 +232,14 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
                 f"soundness violation: rule {fired_rule} fired on a "
                 f"non-Golod complex ({report.witness_text})")
         return TrivialityCertificate("trivial", fired_rule, fired_evidence,
-                                     golod=report,
-                                     rules_run=tuple(rules_run) if all_rules else ())
+                                     golod=report, rules_run=recorded)
     report = golod_report(K)
     if not report.golod:
         return TrivialityCertificate(
             "nontrivial", RULE_NON_GOLOD,
-            {"witness": report.witness_text}, golod=report,
-            rules_run=tuple(rules_run) if all_rules else ())
+            {"witness": report.witness_text}, golod=report, rules_run=recorded)
     return TrivialityCertificate("unknown", None, {}, golod=report,
-                                 rules_run=tuple(rules_run) if all_rules else ())
+                                 rules_run=recorded)
 
 
 # -- wedge decomposition reports ------------------------------------------------

@@ -129,7 +129,7 @@ def _cmd_rmac(args) -> int:
 def _cmd_dual(args) -> int:
     doc = _load(args.complex)
     K = doc.complex()
-    ambient = args.ambient if args.ambient else K.m
+    ambient = args.ambient if args.ambient is not None else K.m
     dual = alexander_dual(K, ambient)
     _emit({"name": doc.name, "command": "dual", "ambient": ambient,
            "m": dual.m, "facets": [list(verts(f)) for f in dual.facets]})
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dual", _cmd_dual, "Alexander dual facets")
     arg_complex(p)
-    p.add_argument("--ambient", type=int, default=None)
+    p.add_argument("--ambient", type=_at_least(1), default=None)
 
     p = add("nonfaces", _cmd_nonfaces, "minimal non-faces")
     arg_complex(p)
@@ -375,7 +375,7 @@ def run_command(argv) -> int:
     except (ParseError, ValueError) as e:
         _emit({"error": str(e)})
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         _emit({"error": f"cannot read {e.filename}"})
         return 2
     except Exception as e:

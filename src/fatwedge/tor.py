@@ -17,6 +17,10 @@ Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
 of every inclusion of a full subcomplex into the join of two complementary
 pieces.  They compute the same pairing through entirely different chain data.
+The Tor oracle takes the cohomology dimensions of the pieces from Hochster's
+formula and builds only the pieces its products touch, checking each basis it
+builds against those dimensions; the Hochster check (tor_dimensions) builds
+every piece, so its Koszul side never reads simplicial chains.
 """
 
 from __future__ import annotations
@@ -133,16 +137,6 @@ class TorAlgebra:
                     dims[t] = dims.get(t, 0) + d
         return dims
 
-    def nonzero_multidegrees(self) -> list[int]:
-        """Nonempty multidegrees carrying cohomology (all positive degree)."""
-        out = []
-        for imask in range(1, 1 << self.K.m):
-            pc = self.piece(imask)
-            if any(pc.cohomology_dim(t, self.field) for t in pc.total_degrees()):
-                out.append(imask)
-        out.sort(key=verts)
-        return out
-
     def product_class_is_zero(self, imask: int, t1: int, gen1: list,
                               jmask: int, t2: int, gen2: list) -> bool:
         """Whether the product of two cocycle representatives is a coboundary.
@@ -241,30 +235,38 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
 
     Products across intersecting multidegrees vanish at the cochain level, so
     only disjoint nonempty pairs are inspected; the lexicographically first
-    failing pair of basis classes is reported.
+    failing pair of basis classes is reported.  Piece I has dim H^t =
+    b_{t-|I|-1}(K_I) by Hochster's formula, read off the full-subcomplex
+    homology a run shares with the other checks.  A piece is built only for a
+    product whose target has cohomology, and every basis built must have the
+    rank Hochster gives it.
     """
     alg = build_tor(K, field)
-    hot = alg.nonzero_multidegrees()
-    for ai in range(len(hot)):
-        imask = hot[ai]
-        pi = alg.piece(imask)
-        for bi in range(ai + 1, len(hot)):
-            jmask = hot[bi]
+    dims: dict[int, dict[int, int]] = {}
+    for imask in range(1, 1 << K.m):
+        prof = full_subcomplex_homology(K, imask, field)
+        if not prof.is_trivial():
+            dims[imask] = {q + imask.bit_count() + 1: prof.betti(q)
+                           for q in prof.nonzero_degrees()}
+
+    def basis(imask: int, t: int) -> HomologyBasis:
+        hb = alg.piece(imask).cohomology_basis(t, field)
+        if hb.rank != dims[imask][t]:
+            raise AssertionError(f"piece {verts(imask)} has rank {hb.rank} in "
+                                 f"degree {t}, Hochster gives {dims[imask][t]}")
+        return hb
+
+    hot = sorted(dims, key=verts)
+    for ai, imask in enumerate(hot):
+        for jmask in hot[ai + 1:]:
             if imask & jmask:
                 continue
-            pj = alg.piece(jmask)
-            for t1 in pi.total_degrees():
-                n1 = pi.cohomology_dim(t1, field)
-                if not n1:
-                    continue
-                for t2 in pj.total_degrees():
-                    n2 = pj.cohomology_dim(t2, field)
-                    if not n2:
+            for t1, n1 in sorted(dims[imask].items()):
+                for t2, n2 in sorted(dims[jmask].items()):
+                    if not dims.get(imask | jmask, {}).get(t1 + t2):
                         continue
-                    if alg.piece(imask | jmask).cohomology_dim(t1 + t2, field) == 0:
-                        continue
-                    hb1 = pi.cohomology_basis(t1, field)
-                    hb2 = pj.cohomology_basis(t2, field)
+                    hb1, hb2 = basis(imask, t1), basis(jmask, t2)
+                    basis(imask | jmask, t1 + t2)    # checks the target too
                     for g1 in range(n1):
                         for g2 in range(n2):
                             if not alg.product_class_is_zero(

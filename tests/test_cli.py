@@ -98,6 +98,15 @@ class TestCommands:
             captured = capsys.readouterr()
             assert captured.out == "" and "must be >= 1" in captured.err
 
+    def test_ambient_below_one_is_a_usage_error(self, capsys):
+        # --ambient 0 used to answer for the default ambient m
+        for ambient in ("0", "-1"):
+            assert run_command(["dual", "c4", "--ambient", ambient]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "must be >= 1" in captured.err
+        code, out = run(capsys, "dual", "c4", "--ambient", "5")
+        assert code == 0 and out["ambient"] == 5
+
     def test_negative_budget_is_a_usage_error(self, capsys):
         for cmd in ("certify", "fill", "shell"):
             assert run_command([cmd, "c4", "--budget-nodes", "-3"]) == 2
@@ -140,6 +149,11 @@ class TestCommands:
     def test_parse_error_exit_2(self, capsys):
         code, out = run(capsys, "homology", "/nonexistent/file.json")
         assert code == 2 and "error" in out
+
+    def test_unreadable_path_exit_2(self, capsys, tmp_path):
+        # a directory is a bad path, not a crash (it used to exit 4)
+        code, out = run(capsys, "homology", str(tmp_path))
+        assert code == 2 and out == {"error": f"cannot read {tmp_path}"}
 
     def test_shell_long_path(self, capsys, tmp_path):
         # 1,200 steps deep: more than the default recursion limit

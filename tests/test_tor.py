@@ -7,7 +7,9 @@ from fatwedge.complexes import (boundary_of_simplex, empty_complex,
                                 make_complex, run, simplex)
 from fatwedge.corpus import berglund_complex
 from fatwedge.certify import golod_report
-from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ
+from fatwedge import tor
+from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ, HomologyProfile,
+                               full_subcomplex_homology)
 from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
                           hochster_tor_check, tor_dimensions, torsion_primes)
 
@@ -83,6 +85,28 @@ class TestHochsterFormula:
             for ring in (QQ, GF(2)):
                 assert hochster_tor_check(K, ring).equal
 
+    def test_each_piece_matches_its_full_subcomplex(self):
+        # hochster_tor_check compares sums over I; the Tor oracle relies on
+        # the identity for each I and t separately
+        from fatwedge.corpus import corpus_names, load
+        rng = random.Random(29)
+        cases = [load(name).complex() for name in corpus_names()]
+        cases += [random_complex(rng, max_m=6) for _ in range(30)]
+        assert any(K.support != (1 << K.m) - 1 for K in cases)
+        for K in cases:
+            with run():
+                for field in (QQ, GF(2), GF(3)):
+                    alg = build_tor(K, field)
+                    for imask in range(1, 1 << K.m):
+                        pc = alg.piece(imask)
+                        prof = full_subcomplex_homology(K, imask, field)
+                        shift = imask.bit_count() + 1
+                        degrees = set(pc.total_degrees())
+                        degrees.update(q + shift for q in prof.nonzero_degrees())
+                        for t in degrees:
+                            assert pc.cohomology_dim(t, field) == \
+                                prof.betti(t - shift), (K, field, imask, t)
+
 
 class TestDifferentialAlgebra:
     @given(complexes(max_m=4), st.integers(0, 255), st.integers(0, 255),
@@ -151,22 +175,45 @@ class TestGolodOracles:
 
     def test_berglund_over_fields(self):
         B = berglund_complex()
-        assert golod_via_tor(B, GF(2)).golod
-        assert golod_via_join(B, GF(2)).golod
+        with run():
+            assert golod_via_tor(B, GF(2)).golod
+            assert golod_via_join(B, GF(2)).golod
 
     def test_golod_report_builds_each_piece_once(self):
-        # the Koszul pieces are integral, so Q, Z/2 and Z/3 share one piece
-        # per nonempty multidegree, and a second report in the same run
-        # builds none
-        K = make_complex(7, [[1, 2, 4], [2, 3, 5], [3, 4, 6], [4, 5, 7],
-                             [5, 6, 1], [6, 7, 2], [7, 1, 3]])
+        # the Koszul pieces are integral, so Z/2 and Z/3 reuse the pieces
+        # that Q built, and a second report in the same run builds none;
+        # the oracle builds only the pieces its products touch
+        K = make_complex(7, [[1, 5, 7], [2, 6], [3, 4, 5], [3, 6, 7], [4, 6],
+                             [5, 6]])
         before = DD_ZERO_CHECKS["koszul_pieces"]
         with run():
+            golod_via_tor(K, QQ)
+            built = DD_ZERO_CHECKS["koszul_pieces"] - before
+            assert 0 < built < 2 ** 7 - 1
             report = golod_report(K)
-            assert report.primes == (2, 3)
-            assert DD_ZERO_CHECKS["koszul_pieces"] - before == 2 ** 7 - 1
+            assert report.golod and report.primes == (2, 3)
+            assert DD_ZERO_CHECKS["koszul_pieces"] - before == built
             assert golod_report(K) == report
-            assert DD_ZERO_CHECKS["koszul_pieces"] - before == 2 ** 7 - 1
+            assert DD_ZERO_CHECKS["koszul_pieces"] - before == built
+
+    def test_golod_report_builds_no_piece_on_berglund(self):
+        # no product of two nonzero classes has a nonzero Hochster target
+        before = DD_ZERO_CHECKS["koszul_pieces"]
+        assert golod_report(berglund_complex()).golod
+        assert DD_ZERO_CHECKS["koszul_pieces"] == before
+
+    def test_inflated_hochster_dimension_raises(self, monkeypatch):
+        real = tor.full_subcomplex_homology
+
+        def inflated(K, imask, ring):
+            prof = real(K, imask, ring)
+            if imask == 0b0101:
+                return HomologyProfile(ring, {q: b + 1 for q, b in prof.free.items()})
+            return prof
+
+        monkeypatch.setattr(tor, "full_subcomplex_homology", inflated)
+        with pytest.raises(AssertionError, match="Hochster gives 2"):
+            golod_via_tor(C4, QQ)
 
     def test_oracles_agree_on_random_complexes(self):
         rng = random.Random(4)
