@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from fatwedge.certify import certify_fwf_trivial
-from fatwedge.complexes import make_complex
+from fatwedge.complexes import make_complex, run
 from fatwedge.criteria import is_dual_scm, is_dual_shellable, strong_gcd_search
 from fatwedge.homology import GF, QQ, ZZ
 from fatwedge.rmac import hochster_identity_check
@@ -55,18 +55,21 @@ def main() -> None:
     chain_checked = 0
     for i in range(cfg.count):
         K = sample(rng, cfg)
-        cert = certify_fwf_trivial(K, check_soundness=False)
-        verdicts[cert.verdict] += 1
-        rules[cert.rule or "none"] += 1
-        if not hochster_identity_check(K, ZZ).equal:
-            identity_failures += 1
-        for ring in (QQ, GF(2)):
-            if golod_via_tor(K, ring).golod != golod_via_join(K, ring).golod:
-                agreement_failures += 1
-        if cfg.ghost_free and is_dual_shellable(K, budget=20000).found:
-            chain_checked += 1
-            assert is_dual_scm(K, ZZ), K
-            assert strong_gcd_search(K).found, K
+        # one run per complex: every check below reads the same full
+        # subcomplexes and their homology
+        with run():
+            cert = certify_fwf_trivial(K, check_soundness=False)
+            verdicts[cert.verdict] += 1
+            rules[cert.rule or "none"] += 1
+            if not hochster_identity_check(K, ZZ).equal:
+                identity_failures += 1
+            for ring in (QQ, GF(2)):
+                if golod_via_tor(K, ring).golod != golod_via_join(K, ring).golod:
+                    agreement_failures += 1
+            if cfg.ghost_free and is_dual_shellable(K, budget=20000).found:
+                chain_checked += 1
+                assert is_dual_scm(K, ZZ), K
+                assert strong_gcd_search(K).found, K
 
     print(f"screened {cfg.count} complexes (max m = {cfg.max_m}, seed {cfg.seed})")
     print(f"verdicts: {dict(verdicts)}")

@@ -6,6 +6,9 @@ carries machine-checkable evidence.  "nontrivial" is only ever concluded from
 a Golodness obstruction (the decomposition forces all Tor products to vanish,
 so a nonzero product is a genuine obstruction); failed searches alone yield
 "unknown", because every implemented condition is sufficient, not necessary.
+A rule may skip work that another fact makes futile: the exponential dual
+shelling search is tried only on a dual that is sequentially Cohen-Macaulay
+over Z, which every shellable complex is.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, flag_complex, full_subcomplex,
                         max_neighborliness, minimal_nonfaces,
-                        perfect_elimination_order, run, verts)
+                        perfect_elimination_order, run, shared, verts)
 from .criteria import (DEFAULT_BUDGET, FillingCertificate, ShellingOrder,
                        fill_search, is_dual_scm, is_dual_shellable,
                        is_homology_fillable)
@@ -137,7 +140,15 @@ def _try_neighborly(K: SimplicialComplex, budget: int):
     return None
 
 
+def _dual_scm_over_z(K: SimplicialComplex) -> bool:
+    """is_dual_scm(K, ZZ), computed once per run for both dual rules."""
+    return shared(("dual_scm", K), lambda: is_dual_scm(K, ZZ))
+
+
 def _try_dual_shellable(K: SimplicialComplex, budget: int):
+    # a dual that is not SCM over Z has no shelling (see certify_fwf_trivial)
+    if not _dual_scm_over_z(K):
+        return None
     res = is_dual_shellable(K, budget)
     if res.found:
         order: ShellingOrder = res.certificate
@@ -146,7 +157,7 @@ def _try_dual_shellable(K: SimplicialComplex, budget: int):
 
 
 def _try_dual_scm(K: SimplicialComplex, budget: int):
-    if is_dual_scm(K, ZZ):
+    if _dual_scm_over_z(K):
         return {"dual_scm_over_Z": True}
     return None
 
@@ -205,6 +216,13 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     The two full-subcomplex rules test K_I for I by increasing |I| (numeric
     mask order within a size), each with its own budget, and stop at the
     first K_I that fails; the verdict does not depend on the order.
+
+    The dual shelling search runs only when the dual is sequentially
+    Cohen-Macaulay over Z.  A shellable complex, pure or not, is SCM over Z:
+    each pure skeleton of a shellable complex is shellable, hence CM
+    (Bjorner and Wachs, "Shellable nonpure complexes and posets I", Trans.
+    AMS 348 (1996)).  The SCM answer is computed once per run and read by
+    both dual rules, so the gate changes no verdict and no rule.
 
     A "trivial" verdict is sanity-checked against the Golod report (the
     decomposition implies Golodness), unless check_soundness is disabled.

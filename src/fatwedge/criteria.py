@@ -266,20 +266,24 @@ def _face_set(K: SimplicialComplex) -> frozenset[int]:
 
 
 def _free_pairs(faces: frozenset[int]) -> list[tuple[int, int]]:
-    pairs = []
-    for s in faces:
-        if s == 0:
-            continue
-        coface = None
-        count = 0
-        for t in faces:
-            if t != s and s & ~t == 0:
-                count += 1
-                if count > 1:
-                    break
-                coface = t
-        if count == 1:
-            pairs.append((s, coface))
+    """Free faces s with their unique proper coface t, in search order.
+
+    faces is closed under subsets, so a face u > s contains s + v for every
+    v in u - s.  Hence s lies in exactly one other face t exactly when it has
+    one codimension-one coface t.  One walk over the walls of every face
+    counts those cofaces.
+    """
+    count: dict[int, int] = {}
+    coface: dict[int, int] = {}
+    for t in faces:
+        rem = t
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            s = t ^ low
+            count[s] = count.get(s, 0) + 1
+            coface[s] = t
+    pairs = [(s, t) for s, t in coface.items() if s and count[s] == 1]
     pairs.sort(key=lambda p: (-p[1].bit_count(), verts(p[1]), verts(p[0])))
     return pairs
 

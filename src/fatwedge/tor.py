@@ -17,6 +17,8 @@ Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
 of every inclusion of a full subcomplex into the join of two complementary
 pieces.  They compute the same pairing through entirely different chain data.
+The join oracle skips a pair with a cone factor, whose join is a cone and
+so contractible; it decides that from facets alone.
 The Tor oracle takes the cohomology dimensions of the pieces from Hochster's
 formula and builds only the pieces its products touch, checking each basis it
 builds against those dimensions; the Hochster check (tor_dimensions) builds
@@ -288,7 +290,10 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
 
     Works over Z as well as fields; degrees with trivial source or target
     homology are skipped (the map is zero there for free), everything else
-    goes through the chain-level pushforward with relabeling signs.
+    goes through the chain-level pushforward with relabeling signs.  A pair
+    where K_I or K_J is a cone v * L is skipped before the join is built:
+    (v * L) * M = v * (L * M) is a cone, hence contractible.  That test reads
+    only facets, so the oracle takes no chain data from the Tor oracle.
     """
     m = K.m
     subsets = sorted(range(1, 1 << m), key=verts)
@@ -313,6 +318,8 @@ def _join_pair_zero(K, imask: int, jmask: int, ring) -> int | None:
         return None
     KI = full_subcomplex(K, verts(imask))
     KJ = full_subcomplex(K, verts(jmask))
+    if _is_cone(KI) or _is_cone(KJ):
+        return None
     B = join(KI, KJ)
     tgt_prof = reduced_homology(B, ring)
     A = full_subcomplex(K, verts(imask | jmask))
@@ -323,6 +330,15 @@ def _join_pair_zero(K, imask: int, jmask: int, ring) -> int | None:
         if not is_zero_on_homology(A, B, ring, vertex_map=vmap, degrees=(q,)):
             return q
     return None
+
+
+def _is_cone(L: SimplicialComplex) -> bool:
+    """Whether some vertex lies in every facet of L.  A cone is contractible,
+    and so is its join with any complex."""
+    apex = L.facets[0]
+    for f in L.facets[1:]:
+        apex &= f
+    return apex != 0
 
 
 def _join_vertex_map(imask: int, jmask: int) -> dict[int, int]:

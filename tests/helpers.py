@@ -16,8 +16,7 @@ from math import gcd
 from fatwedge.complexes import (SimplicialComplex, join, make_complex,
                                 minimal_nonfaces, verts)
 from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
-                               _Budget, _face_set, _free_pairs,
-                               _has_gcd_witnesses)
+                               _Budget, _face_set, _has_gcd_witnesses)
 from fatwedge.rmac import build_rmac
 from fatwedge.tor import _merge_sign
 
@@ -41,6 +40,15 @@ def random_graph(rng: random.Random, max_m: int = 8, min_m: int = 2):
     for a, b in itertools.combinations(range(1, m + 1), 2):
         if rng.random() < p:
             gens.append([a, b])
+    return make_complex(m, gens)
+
+
+def random_two_complex(rng: random.Random, max_m: int = 7, min_m: int = 3):
+    """Random complex of dimension at most 2 with vertex set [m]."""
+    m = rng.randint(min_m, max_m)
+    gens = [[v] for v in range(1, m + 1)]
+    for _ in range(rng.randint(1, 2 * m)):
+        gens.append(rng.sample(range(1, m + 1), rng.choice((2, 3))))
     return make_complex(m, gens)
 
 
@@ -232,9 +240,24 @@ def reference_shelling_search(K, budget: int):
     return ("exhausted" if budget_hit else "none"), budget - left, None
 
 
+def reference_free_pairs(faces) -> list[tuple[int, int]]:
+    """Free pairs by the definition: s is free when exactly one other face
+    contains it.  Compares every pair of faces, in the library's sort order."""
+    pairs = []
+    for s in faces:
+        if s == 0:
+            continue
+        cofaces = [t for t in faces if t != s and s & ~t == 0]
+        if len(cofaces) == 1:
+            pairs.append((s, cofaces[0]))
+    pairs.sort(key=lambda p: (-p[1].bit_count(), verts(p[1]), verts(p[0])))
+    return pairs
+
+
 def reference_collapse_search(K, budget: int) -> SearchResult:
-    """Collapse search written as a recursive closure: the reference that
-    pins the nodes and steps of the library's explicit-stack engine."""
+    """Collapse search written as a recursive closure over the definitional
+    free pairs: the reference that pins the nodes and steps of the library's
+    explicit-stack engine and its coface count."""
     start = _face_set(K)
     if len(start) == 2 and 0 in start:
         return SearchResult("found", CollapseSequence(()), 0)
@@ -249,7 +272,7 @@ def reference_collapse_search(K, budget: int) -> SearchResult:
             return True
         if faces in failed:
             return False
-        for s, t in _free_pairs(faces):
+        for s, t in reference_free_pairs(faces):
             if not b.spend():
                 budget_hit = True
                 return False

@@ -9,16 +9,19 @@ from fatwedge.certify import (RULE_DIM, RULE_DUAL_SCM, RULE_DUAL_SHELLABLE,
                               RULE_LOW_DUAL, RULE_NEIGHBORLY, RULE_NON_GOLOD,
                               SpacePoincare, _try_all_fillable, bbcg_summands,
                               certify_fwf_trivial, golod_report)
-from fatwedge import homology
+from fatwedge import certify, criteria, homology
 from fatwedge.complexes import (SimplicialComplex, boundary_of_simplex,
-                                full_subcomplex, is_chordal, make_complex, run,
-                                simplex, skeleton_of_simplex, verts)
+                                flag_complex, full_subcomplex, is_chordal,
+                                make_complex, run, simplex,
+                                skeleton_of_simplex, verts)
 from fatwedge.corpus import berglund_complex, corpus_names, load
-from fatwedge.criteria import is_homology_fillable
+from fatwedge.criteria import (is_dual_scm, is_dual_shellable,
+                               is_homology_fillable)
 from fatwedge.homology import ZZ, reduced_homology
 from fatwedge.rmac import build_rmac, cubical_homology, hochster_identity_check
 
-from helpers import random_complex, random_graph
+from helpers import (random_complex, random_graph, random_two_complex,
+                     with_ground)
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 PATH = make_complex(4, [[1, 2], [2, 3], [3, 4]])
@@ -61,7 +64,9 @@ class TestCertify:
         assert cert.golod is not None and cert.golod.golod
 
     def test_all_rules_mode_monotone(self):
-        # whenever the dual-shellable rule fires, the weaker rules 6-8 fire too
+        # whenever the dual-shellable rule fires, the weaker rules 6-8 fire
+        # too; the SCM assertion holds by construction, since the shelling
+        # rule runs only on a dual that is SCM over Z
         for name in corpus_names():
             K = load(name).complex()
             if K.m > 6:
@@ -72,6 +77,67 @@ class TestCertify:
                 assert run[RULE_DUAL_SCM] == "fired"
                 assert run[RULE_FILLABLE] == "fired"
                 assert run[RULE_HOMOLOGY_FILLABLE] == "fired"
+
+
+#: the rules that run no later than the dual shelling search
+UP_TO_DUAL_SHELLABLE = (RULE_DIM, RULE_FLAG, RULE_LOW_DUAL, RULE_NEIGHBORLY,
+                        RULE_DUAL_SHELLABLE)
+
+
+class TestDualShellingGate:
+    def test_gate_hides_no_shelling(self):
+        # flag complexes and 2-complexes on m <= 7 elements; every third one
+        # below m = 7 gets a ghost element.  The shelling search here is
+        # ungated
+        rng = random.Random(1013)
+        shellable = not_scm = 0
+        for i in range(90):
+            if i % 2:
+                K = flag_complex(random_graph(rng, max_m=7, min_m=4))
+            else:
+                K = random_two_complex(rng, max_m=7, min_m=4)
+            if i % 3 == 0 and K.m < 7:
+                K = with_ground(K, K.m + 1)
+            if is_dual_shellable(K, 20000).found:
+                shellable += 1
+                assert is_dual_scm(K, ZZ), K
+                cert = certify_fwf_trivial(K, budget=20000,
+                                           check_soundness=False)
+                assert cert.rule in UP_TO_DUAL_SHELLABLE, K
+            elif not is_dual_scm(K, ZZ):
+                not_scm += 1
+        assert shellable >= 10 and not_scm >= 10
+
+    def test_no_shelling_search_on_a_dual_that_is_not_scm(self, monkeypatch):
+        searches, scm_calls = [], []
+        real_search = criteria.shelling_search
+
+        def counted_search(K, budget):
+            searches.append(K)
+            return real_search(K, budget)
+
+        def scm(answer):
+            def is_dual_scm(K, ring):
+                scm_calls.append(K)
+                return answer
+            return is_dual_scm
+
+        monkeypatch.setattr(criteria, "shelling_search", counted_search)
+        K = skeleton_of_simplex(5, 1)     # its dual is shellable
+        monkeypatch.setattr(certify, "is_dual_scm", scm(True))
+        rules = dict(certify_fwf_trivial(K, all_rules=True,
+                                         check_soundness=False).rules_run)
+        assert rules[RULE_DUAL_SHELLABLE] == "fired"
+        assert len(searches) == 1 and len(scm_calls) == 1
+        searches.clear()
+        scm_calls.clear()
+        monkeypatch.setattr(certify, "is_dual_scm", scm(False))
+        rules = dict(certify_fwf_trivial(K, all_rules=True,
+                                         check_soundness=False).rules_run)
+        assert rules[RULE_DUAL_SHELLABLE] == "not_fired"
+        assert rules[RULE_DUAL_SCM] == "not_fired"
+        # both dual rules read one answer from the run's store
+        assert searches == [] and len(scm_calls) == 1
 
 
 class TestFullSubcomplexScan:

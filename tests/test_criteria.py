@@ -11,7 +11,8 @@ from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
                                 make_complex, run, simplex,
                                 skeleton_of_simplex, verts)
 from fatwedge.corpus import berglund_complex
-from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
+from fatwedge.criteria import (_face_set, _free_pairs, _shelling_ok,
+                               collapse_search, fill_search,
                                filling_from_dual_shelling, is_cm,
                                is_collapse_sequence, is_dual_scm,
                                is_dual_shellable, is_homology_fillable, is_scm,
@@ -20,7 +21,8 @@ from fatwedge.criteria import (_shelling_ok, collapse_search, fill_search,
 from fatwedge.homology import QQ, ZZ, is_acyclic
 
 from helpers import (is_strong_gcd_order, is_weak_shelling, random_complex,
-                     reference_collapse_search, reference_shelling_ok,
+                     reference_collapse_search, reference_free_pairs,
+                     reference_shelling_ok,
                      reference_shelling_search, weak_shelling_search)
 from test_complexes import complexes
 
@@ -161,6 +163,19 @@ class TestCollapseAgainstReference:
                                                   ref_steps)
 
 
+def test_free_pairs_match_the_definition():
+    # at every step of a collapse, not only on the starting face sets
+    rng = random.Random(29)
+    for _ in range(500):
+        faces = _face_set(random_complex(rng, max_m=6))
+        while True:
+            pairs = _free_pairs(faces)
+            assert pairs == reference_free_pairs(faces)
+            if not pairs:
+                break
+            faces = faces - set(pairs[0])
+
+
 def path_complex(edges: int):
     return make_complex(edges + 1, [[v, v + 1] for v in range(1, edges + 1)])
 
@@ -170,6 +185,14 @@ class TestDeepSearches:
         # one step per edge: a recursive search would need 1,200 frames
         res = shelling_search(path_complex(1200))
         assert res.status == "found" and res.nodes == 1200
+
+    def test_long_path_collapses(self):
+        # one step per edge, each finding the free pairs without comparing
+        # every pair of faces
+        P = path_complex(400)
+        res = collapse_search(P)
+        assert res.status == "found" and res.nodes == 400
+        assert is_collapse_sequence(P, res.certificate)
 
     def test_searches_do_not_use_the_interpreter_stack(self):
         P = path_complex(80)

@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatwedge.complexes import (boundary_of_simplex, empty_complex,
-                                make_complex, run, simplex)
+from fatwedge.complexes import (boundary_of_simplex, cone, empty_complex,
+                                join, make_complex, run, simplex)
 from fatwedge.corpus import berglund_complex
 from fatwedge.certify import golod_report
 from fatwedge import tor
 from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ, HomologyProfile,
-                               full_subcomplex_homology)
+                               full_subcomplex_homology, reduced_homology)
 from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
                           hochster_tor_check, tor_dimensions, torsion_primes)
 
@@ -222,3 +222,52 @@ class TestGolodOracles:
             for ring in (QQ, GF(2)):
                 assert golod_via_tor(K, ring).golod == \
                     golod_via_join(K, ring).golod
+
+
+class TestConeFactors:
+    def test_cones_and_their_joins_are_acyclic(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            L = cone(random_complex(rng, max_m=4))
+            M = random_complex(rng, max_m=3)
+            assert tor._is_cone(L)
+            for X in (L, join(L, M), join(M, L)):
+                assert reduced_homology(X, ZZ).is_trivial(), X
+
+    def test_non_cones(self):
+        for K in (C4, PATH, RP2, boundary_of_simplex(3), empty_complex(2),
+                  make_complex(2, [[1], [2]])):
+            assert not tor._is_cone(K)
+        # two edges at vertex 2, and a point
+        assert tor._is_cone(make_complex(3, [[1, 2], [2, 3]]))
+        assert tor._is_cone(simplex(1))
+
+    def test_join_oracle_skips_cone_pairs(self, monkeypatch):
+        B = berglund_complex()
+        joins = []
+        real_join = tor.join
+
+        def counted(K1, K2):
+            joins.append((K1, K2))
+            return real_join(K1, K2)
+
+        monkeypatch.setattr(tor, "join", counted)
+        with run():
+            verdict = golod_via_join(B, ZZ)
+            subsets = range(1, 1 << B.m)
+            hot = sum(1 for i in subsets for j in subsets
+                      if i < j and not i & j and not
+                      full_subcomplex_homology(B, i | j, ZZ).is_trivial())
+        # each of these pairs of berglund_10 has a cone factor, so no join is
+        # built; without the skip there is one join per pair
+        assert verdict.golod
+        assert hot > 0 and len(joins) < hot
+
+    def test_cone_skip_changes_no_verdict(self, monkeypatch):
+        rng = random.Random(47)
+        cases = [random_complex(rng, max_m=6) for _ in range(25)] + [C4, RP2]
+        gated = [golod_via_join(K, ring) for K in cases for ring in (ZZ, GF(2))]
+        monkeypatch.setattr(tor, "_is_cone", lambda L: False)
+        ungated = [golod_via_join(K, ring) for K in cases
+                   for ring in (ZZ, GF(2))]
+        assert gated == ungated
