@@ -9,12 +9,11 @@ decompositions and Golodness verdicts.
 """
 
 from .complexes import (SimplicialComplex, alexander_dual, boundary_of_simplex,
-                        cone, deletion, empty_complex, flag_complex,
-                        full_subcomplex, generated_subcomplex, is_chordal,
-                        is_k_neighborly, join, link, make_complex,
-                        max_neighborliness, minimal_nonfaces,
-                        perfect_elimination_order, simplex,
-                        skeleton_of_simplex, star, suspension)
+                        cone, empty_complex, flag_complex, full_subcomplex,
+                        generated_subcomplex, is_chordal, is_k_neighborly,
+                        join, link, make_complex, max_neighborliness,
+                        minimal_nonfaces, perfect_elimination_order, simplex,
+                        skeleton_of_simplex, suspension)
 from .homology import (GF, QQ, ZZ, ChainComplex, CoefficientRing,
                        HomologyProfile, dK, hodim, induced_map_on_homology,
                        is_acyclic, is_i_acyclic, is_zero_on_homology,
@@ -26,10 +25,9 @@ from .tor import (TorAlgebra, build_tor, golod_via_join, golod_via_tor,
                   hochster_tor_check, tor_dimensions, torsion_primes)
 from .criteria import (CollapseSequence, FillingCertificate, GcdOrder,
                        SearchResult, ShellingOrder, collapse_search,
-                       fill_search, filling_from_dual_shelling, is_cm,
-                       is_dual_scm, is_dual_shellable, is_homology_fillable,
-                       is_scm, shelling_search, spanning_facets,
-                       strong_gcd_search)
+                       fill_search, filling_from_dual_shelling, is_dual_scm,
+                       is_dual_shellable, is_homology_fillable, is_scm,
+                       shelling_search, spanning_facets, strong_gcd_search)
 from .certify import (GolodReport, SpacePoincare, TrivialityCertificate,
                       WedgeReport, bbcg_summands, certify_fwf_trivial,
                       golod_report)

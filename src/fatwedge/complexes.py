@@ -315,15 +315,6 @@ def _compress(mask: int, imask: int) -> int:
     return out
 
 
-def deletion(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
-    """dl_K(sigma) = K restricted to [m] - sigma (re-indexed onto 1..m-|sigma|)."""
-    smask = mask_of(sigma)
-    rest = verts(((1 << K.m) - 1) ^ smask)
-    if not rest:
-        raise ValueError("deletion of the whole ground set")
-    return full_subcomplex(K, rest)
-
-
 def link(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
     """lk_K(sigma), on the ground set [m] - sigma re-indexed onto 1..m-|sigma|."""
     smask = mask_of(sigma)
@@ -335,14 +326,6 @@ def link(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
     gens = _maximal(f & ~smask for f in K.facets if smask & ~f == 0)
     return SimplicialComplex(rest.bit_count(),
                              tuple(_compress(f, rest) for f in gens), _trusted=True)
-
-
-def star(K: SimplicialComplex, v: int) -> SimplicialComplex:
-    """st_K(v) = lk_K(v) * {v}, kept as a subcomplex of K on the same ground set."""
-    if not K.has_face(1 << (v - 1)):
-        raise ValueError(f"{v} is not a vertex of the complex")
-    return SimplicialComplex(K.m, tuple(f for f in K.facets if f & (1 << (v - 1))),
-                             _trusted=True)
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:

@@ -108,17 +108,49 @@ class ChainComplex:
         DD_ZERO_CHECKS["chain_complexes"] += 1
 
     def _verify_dd_zero(self) -> None:
-        for q, cols in self.boundary.items():
+        """Raise unless d_{q-1} d_q = 0 in every degree, exactly.
+
+        Where both maps have only +-1 entries (simplicial and cubical
+        chains), d_{q-1} d_q x is zero exactly when the rows reached with a
+        plus sign and those reached with a minus sign form equal multisets,
+        so each column is checked by sorting two lists of row indices.  Any
+        other coefficient is summed in a dict.  The +-1 split is held for
+        one degree at a time.
+        """
+        split = None    # +-1 rows of each column of d_{q-1}, or None
+        for q in sorted(self.boundary):
+            cols = self.boundary[q]
             lower = self.boundary.get(q - 1)
-            if lower is None:
-                continue
-            for j, col in enumerate(cols):
-                acc: dict[int, int] = {}
-                for i, v in col.items():
-                    for i2, v2 in lower[i].items():
-                        acc[i2] = acc.get(i2, 0) + v * v2
-                if any(acc.values()):
-                    raise ValueError(f"d^2 != 0 at degree {q}, column {j}")
+            if lower is not None:
+                for j, col in enumerate(cols):
+                    if split is not None:
+                        pos: list[int] = []
+                        neg: list[int] = []
+                        for i, v in col.items():
+                            plus, minus = split[i]
+                            if v == 1:
+                                pos += plus
+                                neg += minus
+                            elif v == -1:
+                                pos += minus
+                                neg += plus
+                            else:
+                                break
+                        else:
+                            pos.sort()
+                            neg.sort()
+                            if pos == neg:
+                                continue
+                            raise ValueError(f"d^2 != 0 at degree {q}, column {j}")
+                    acc: dict[int, int] = {}
+                    for i, v in col.items():
+                        for i2, v2 in lower[i].items():
+                            acc[i2] = acc.get(i2, 0) + v * v2
+                    if any(acc.values()):
+                        raise ValueError(f"d^2 != 0 at degree {q}, column {j}")
+            split = None
+            if q + 1 in self.boundary:
+                split = _signed_rows(cols)
 
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
@@ -128,6 +160,19 @@ class ChainComplex:
             self._index = {qq: {lab: i for i, lab in enumerate(cells)}
                            for qq, cells in self.basis.items()}
         return self._index[q][label]
+
+
+def _signed_rows(cols: Sequence[dict]) -> list[tuple[list[int], list[int]]] | None:
+    """(rows with entry +1, rows with entry -1) of each column, or None when
+    some entry is neither."""
+    out = []
+    for col in cols:
+        plus = [i for i, v in col.items() if v == 1]
+        minus = [i for i, v in col.items() if v == -1]
+        if len(plus) + len(minus) != len(col):
+            return None
+        out.append((plus, minus))
+    return out
 
 
 class HomologyProfile:

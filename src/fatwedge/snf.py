@@ -7,10 +7,14 @@ are Python ints, so there is no overflow.  ``complex_rank_divisors`` is the
 one sparse eliminator, over Z and divisors-only, for the bulk homology
 computations, where boundary matrices are large but almost all pivots are
 units: unit pivots are eliminated and split off, and whatever remains is
-handed to the dense routine.  Pivots with no fill-in (a unit alone in its
-column or row) run first from a FIFO worklist, the coreduction cascade of
-Mrozek and Batko; only what survives it goes through a Markowitz heap.  Field ranks are read off its divisors: over
-Q the rank is the number of divisors, over Z/p it is ``rank_mod_p``.
+handed to the dense routine.  It runs in two phases.  Phase 1 takes the
+pivots with no fill-in (a unit alone in its column or row) from a FIFO
+worklist, the coreduction cascade of Mrozek and Batko; such a pivot only
+deletes entries, so phase 1 reads the caller's columns in place and keeps
+nothing but counts and live-cell flags.  Phase 2 copies only the surviving
+entries, runs a Markowitz heap on them and hands the rest to the dense
+routine.  Field ranks are read off the divisors: over Q the rank is the
+number of divisors, over Z/p it is ``rank_mod_p``.
 ``sparse_rank_divisors`` runs it on one matrix.
 """
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -206,10 +211,12 @@ def complex_rank_divisors(boundaries, dims):
     """Ranks and divisors of every boundary matrix of a chain complex at once.
 
     boundaries maps degree q to the sparse integer columns of d_q (entries
-    over the (q-1)-basis); dims maps degree to basis size.  Returns (ranks,
-    divisors) dicts indexed by degree: ranks[q] is the rank of d_q over Q and
-    divisors[q] its invariant divisors over Z, so ranks[q] ==
-    len(divisors[q]) and the rank over Z/p is ``rank_mod_p(divisors[q], p)``.
+    over the (q-1)-basis); dims maps degree to basis size, and each d_q must
+    have dims[q] columns with row indices below dims[q - 1], else ValueError.
+    Returns (ranks, divisors) dicts indexed by degree: ranks[q] is the rank
+    of d_q over Q and divisors[q] its invariant divisors over Z, so ranks[q]
+    == len(divisors[q]) and the rank over Z/p is ``rank_mod_p(divisors[q],
+    p)``.  The columns are read, never modified.
 
     A unit entry <d(b), a> = +-1 is eliminated by column operations inside
     d_q alone; the cells a and b then split off as an acyclic summand, so row
@@ -217,38 +224,177 @@ def complex_rank_divisors(boundaries, dims):
     vanish in the adjusted basis because d^2 = 0).  This preserves all ranks
     and the homology.
 
-    Pivots come in two phases.  A unit entry that is alone in its column or
-    in its row costs no fill-in; such zero-cost pivots go on a FIFO
-    worklist, seeded with every one present at the start (on an augmented
-    complex, the augmentation columns of the vertices), and each elimination
-    appends the singletons it leaves behind.  On cell complexes this is the
-    coreduction cascade of Mrozek and Batko ("Coreduction homology
-    algorithm", Discrete Comput. Geom. 41, 2009) together with ordinary free
-    face collapses.  Only the columns that survive the worklist fill a
-    Markowitz heap keyed by (r - 1)(c - 1); after every heap pivot the
-    worklist is drained again.  Whatever remains, typically a small non-unit
-    residue, is handed to the dense Smith reduction.
+    The reduction runs in two phases.
+
+    Phase 1 is a coreduction on counts.  A unit pivot that is alone in its
+    column or in its row causes no fill-in: the column operations that clear
+    its row subtract multiples of a column that has no other entry, or there
+    are no other columns in its row to clear.  Eliminating it therefore only
+    deletes entries, namely every entry of the cells a and b, in d_q, d_{q+1}
+    and d_{q-1}, and never computes one.  So phase 1 keeps a flag per cell
+    and an entry count per row and column, reads the caller's columns and
+    their transpose in place, and kills the two cells of each such pivot.
+    Its pivots come from a FIFO worklist seeded with every one present at
+    the start (on an augmented complex, the augmentation columns of the
+    vertices, and the free faces); each kill appends the pivots it leaves
+    behind.  On cell complexes this is the coreduction cascade of Mrozek and
+    Batko ("Coreduction homology algorithm", Discrete Comput. Geom. 41, 2009)
+    together with ordinary free face collapses.
+
+    Phase 2 copies only the entries between surviving cells into dicts and
+    hands them to ``_heap_phase``, a Markowitz heap of unit pivots that do
+    fill in; whatever remains, typically a small non-unit residue, goes to
+    the dense Smith reduction.  Phase 2 is skipped when no survivor has an
+    entry.
     """
-    col: dict[int, dict[int, dict[int, int]]] = {}
-    row: dict[int, dict[int, dict[int, int]]] = {}
-    for q, cols in boundaries.items():
-        cq: dict[int, dict[int, int]] = {}
-        rq: dict[int, dict[int, int]] = {}
-        for b, column in enumerate(cols):
-            entries = {}
-            for a, v in column.items():
-                if v:
-                    entries[a] = v
-                    rq.setdefault(a, {})[b] = v
-            if entries:
-                cq[b] = entries
+    cols: dict[int, Sequence[dict[int, int]]] = {}
+    rows: dict[int, list[list[int]]] = {}
+    ccount: dict[int, list[int]] = {}
+    rcount: dict[int, list[int]] = {}
+    alive: dict[int, bytearray] = {}
+    for q, cq in boundaries.items():
+        n = dims.get(q - 1, 0)
+        if len(cq) != dims.get(q, 0):
+            raise ValueError(f"d_{q} has {len(cq)} columns but dims[{q}] is "
+                             f"{dims.get(q)}")
+        rq: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for b, col in enumerate(cq):
+                if 0 in col.values():
+                    if cq is boundaries[q]:
+                        cq = list(cq)
+                    col = cq[b] = {a: v for a, v in col.items() if v}
+                for a in col:
+                    rq[a].append(b)
+        except IndexError:
+            raise ValueError(f"d_{q} has a row index >= dims[{q - 1}] = "
+                             f"{n}") from None
+        cols[q] = cq
+        rows[q] = rq
+        ccount[q] = [len(col) for col in cq]
+        rcount[q] = [len(r) for r in rq]
+        for d, size in ((q, len(cq)), (q - 1, n)):
+            if d not in alive:
+                alive[d] = bytearray(b"\x01") * size
+    pivots: dict[int, int] = dict.fromkeys(boundaries, 0)
+    work: deque[tuple[int, int, int]] = deque()
+
+    def offer_col(q: int, b: int) -> None:
+        lo = alive[q - 1]
+        for a, v in cols[q][b].items():
+            if lo[a]:
+                if v == 1 or v == -1:
+                    work.append((q, a, b))
+                return
+
+    def offer_row(q: int, a: int) -> None:
+        hi = alive[q]
+        cq = cols[q]
+        for b in rows[q][a]:
+            if hi[b]:
+                v = cq[b][a]
+                if v == 1 or v == -1:
+                    work.append((q, a, b))
+                return
+
+    def kill(q: int, a: int, b: int) -> None:
+        pivots[q] += 1
+        hi, lo = alive[q], alive[q - 1]
+        hi[b] = lo[a] = 0
+        rc = rcount[q]
+        for x in cols[q][b]:
+            if lo[x]:
+                rc[x] -= 1
+                if rc[x] == 1:
+                    offer_row(q, x)
+        cc = ccount[q]
+        for c in rows[q][a]:
+            if hi[c]:
+                cc[c] -= 1
+                if cc[c] == 1:
+                    offer_col(q, c)
+        up = rows.get(q + 1)
+        if up is not None:
+            top, cc = alive[q + 1], ccount[q + 1]
+            for e in up[b]:
+                if top[e]:
+                    cc[e] -= 1
+                    if cc[e] == 1:
+                        offer_col(q + 1, e)
+        down = cols.get(q - 1)
+        if down is not None:
+            low, rc = alive[q - 2], rcount[q - 1]
+            for y in down[a]:
+                if low[y]:
+                    rc[y] -= 1
+                    if rc[y] == 1:
+                        offer_row(q - 1, y)
+
+    for q in sorted(cols):
+        for b, n in enumerate(ccount[q]):
+            if n == 1:
+                offer_col(q, b)
+        for a, n in enumerate(rcount[q]):
+            if n == 1:
+                offer_row(q, a)
+    while work:
+        q, a, b = work.popleft()
+        if (alive[q][b] and alive[q - 1][a]
+                and (ccount[q][b] == 1 or rcount[q][a] == 1)):
+            kill(q, a, b)
+
+    residue: dict[int, dict[int, dict[int, int]]] = {}
+    for q, cq in cols.items():
+        hi, lo, cc = alive[q], alive[q - 1], ccount[q]
+        live = {b: {a: v for a, v in cq[b].items() if lo[a]}
+                for b in range(len(cq)) if hi[b] and cc[b]}
+        if live:
+            residue[q] = live
+    del cols, rows, ccount, rcount, alive    # phase 2 holds only survivors
+    if residue:
+        for q, r in _heap_phase(residue).items():
+            pivots[q] += r
+
+    ranks: dict[int, int] = {}
+    divisors: dict[int, tuple[int, ...]] = {}
+    for q in boundaries:
+        r = pivots[q]
+        ds: tuple[int, ...] = (1,) * r
+        cq = residue.get(q)
         if cq:
-            col[q] = cq
-            row[q] = rq
-    pivots: dict[int, int] = {q: 0 for q in boundaries}
+            rows_left = sorted({a for colb in cq.values() for a in colb})
+            apos = {a: i for i, a in enumerate(rows_left)}
+            dense = [[0] * len(cq) for _ in rows_left]
+            for j, b in enumerate(sorted(cq)):
+                for a, v in cq[b].items():
+                    dense[apos[a]][j] = v
+            res = smith_normal_form(dense)
+            r += res.rank
+            ds = ds + res.divisors
+        ranks[q] = r
+        divisors[q] = ds
+    return ranks, divisors
+
+
+def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
+    """Unit pivots with fill-in, cheapest first; returns pivots per degree.
+
+    col maps degree q to the nonzero columns {b: {a: v}} of d_q that phase 1
+    of ``complex_rank_divisors`` left, and is reduced in place to the
+    residue.  Pivots come off a Markowitz heap keyed by (r - 1)(c - 1);
+    after each one, the zero-cost pivots it exposes are taken from a FIFO
+    worklist before the heap is consulted again.
+    """
+    row: dict[int, dict[int, dict[int, int]]] = {}
+    for q, cq in col.items():
+        rq: dict[int, dict[int, int]] = {}
+        for b, colb in cq.items():
+            for a, v in colb.items():
+                rq.setdefault(a, {})[b] = v
+        row[q] = rq
+    pivots: dict[int, int] = dict.fromkeys(col, 0)
     work: deque[tuple[int, int, int]] = deque()
     heap: list[tuple[int, int, int, int]] = []
-    in_heap_phase = False
 
     def push_col(q: int, b: int) -> None:
         colb = col[q][b]
@@ -301,10 +447,8 @@ def complex_rank_divisors(boundaries, dims):
                         del rq[x]
             if not colc:
                 del cq[c]
-            elif in_heap_phase:
-                push_col(q, c)
             else:
-                offer_col(q, c, colc)
+                push_col(q, c)
         # adjacent matrices: pure deletions
         up_r = row.get(q + 1)
         if up_r is not None:
@@ -331,26 +475,6 @@ def complex_rank_divisors(boundaries, dims):
                     else:
                         offer_row(q - 1, y, ry)
 
-    def drain() -> None:
-        while work:
-            q, a, b = work.popleft()
-            colb = col[q].get(b)
-            if colb is None:
-                continue
-            v = colb.get(a)
-            if v not in (1, -1) or (len(colb) > 1 and len(row[q][a]) > 1):
-                continue
-            eliminate(q, a, b, v)
-
-    # the zero-cost pivots present at the start: on an augmented complex the
-    # augmentation columns of the vertices, and the free faces (one-entry rows)
-    for q in sorted(col):
-        for b, colb in col[q].items():
-            offer_col(q, b, colb)
-        for a, rowa in row[q].items():
-            offer_row(q, a, rowa)
-    drain()
-    in_heap_phase = True
     for q, cq in col.items():
         for b in cq:
             push_col(q, b)
@@ -367,27 +491,16 @@ def complex_rank_divisors(boundaries, dims):
             heapq.heappush(heap, (true_cost, q, a, b))
             continue
         eliminate(q, a, b, v)
-        drain()
-
-    ranks: dict[int, int] = {}
-    divisors: dict[int, tuple[int, ...]] = {}
-    for q in boundaries:
-        r = pivots.get(q, 0)
-        ds: tuple[int, ...] = (1,) * r
-        cq = col.get(q)
-        if cq:
-            rows_left = sorted({a for colb in cq.values() for a in colb})
-            apos = {a: i for i, a in enumerate(rows_left)}
-            dense = [[0] * len(cq) for _ in rows_left]
-            for j, b in enumerate(sorted(cq)):
-                for a, v in cq[b].items():
-                    dense[apos[a]][j] = v
-            res = smith_normal_form(dense)
-            r += res.rank
-            ds = ds + res.divisors
-        ranks[q] = r
-        divisors[q] = ds
-    return ranks, divisors
+        while work:
+            q, a, b = work.popleft()
+            colb = col[q].get(b)
+            if colb is None:
+                continue
+            v = colb.get(a)
+            if v not in (1, -1) or (len(colb) > 1 and len(row[q][a]) > 1):
+                continue
+            eliminate(q, a, b, v)
+    return pivots
 
 
 def rank_mod_p(divisors, p: int) -> int:

@@ -12,11 +12,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
-from fatwedge.complexes import (SimplicialComplex, join, make_complex,
-                                minimal_nonfaces, verts)
+from fatwedge.complexes import (SimplicialComplex, full_subcomplex, join,
+                                make_complex, mask_of, minimal_nonfaces, verts)
 from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
-                               _Budget, _face_set, _has_gcd_witnesses)
+                               _Budget, _face_set, _has_gcd_witnesses, is_scm)
+from fatwedge.homology import ZZ, CoefficientRing
 from fatwedge.rmac import build_rmac
 from fatwedge.tor import _merge_sign
 
@@ -419,3 +421,26 @@ def _sum_terms(terms) -> dict:
     for c, e in terms:
         acc[e] = acc.get(e, 0) + c
     return {k: v for k, v in acc.items() if v}
+
+
+# -- constructions with no caller in the library ----------------------------
+
+def deletion(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
+    """dl_K(sigma) = K restricted to [m] - sigma (re-indexed onto 1..m-|sigma|)."""
+    smask = mask_of(sigma)
+    rest = verts(((1 << K.m) - 1) ^ smask)
+    if not rest:
+        raise ValueError("deletion of the whole ground set")
+    return full_subcomplex(K, rest)
+
+
+def star(K: SimplicialComplex, v: int) -> SimplicialComplex:
+    """st_K(v) = lk_K(v) * {v}, kept as a subcomplex of K on the same ground set."""
+    if not K.has_face(1 << (v - 1)):
+        raise ValueError(f"{v} is not a vertex of the complex")
+    return SimplicialComplex(K.m, tuple(f for f in K.facets if f & (1 << (v - 1))),
+                             _trusted=True)
+
+
+def is_cm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
+    return K.is_pure and is_scm(K, ring)

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (_STORE, SimplicialComplex, alexander_dual,
-                                boundary_of_simplex, cone, deletion,
-                                empty_complex, flag_complex, full_subcomplex,
+                                boundary_of_simplex, cone, empty_complex,
+                                flag_complex, full_subcomplex,
                                 generated_subcomplex, is_chordal,
                                 is_k_neighborly, join, link, make_complex,
                                 mask_of, max_neighborliness, minimal_nonfaces,
                                 run, shared, simplex, skeleton_of_simplex,
-                                star, suspension, verts)
+                                suspension, verts)
 from fatwedge.corpus import berglund_complex
 
-from helpers import brute_force_faces, random_complex, with_ground
+from helpers import (brute_force_faces, deletion, random_complex, star,
+                     with_ground)
 
 
 @st.composite

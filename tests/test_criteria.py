@@ -13,16 +13,16 @@ from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
 from fatwedge.corpus import berglund_complex
 from fatwedge.criteria import (_face_set, _free_pairs, _shelling_ok,
                                collapse_search, fill_search,
-                               filling_from_dual_shelling, is_cm,
+                               filling_from_dual_shelling,
                                is_collapse_sequence, is_dual_scm,
                                is_dual_shellable, is_homology_fillable, is_scm,
                                is_shelling, shelling_search,
                                spanning_facets, strong_gcd_search)
 from fatwedge.homology import QQ, ZZ, is_acyclic
 
-from helpers import (is_strong_gcd_order, is_weak_shelling, random_complex,
-                     reference_collapse_search, reference_free_pairs,
-                     reference_shelling_ok,
+from helpers import (is_cm, is_strong_gcd_order, is_weak_shelling,
+                     random_complex, reference_collapse_search,
+                     reference_free_pairs, reference_shelling_ok,
                      reference_shelling_search, weak_shelling_search)
 from test_complexes import complexes
 
@@ -71,7 +71,7 @@ class TestShelling:
 
 
 class TestShellingAgainstReference:
-    @pytest.mark.parametrize("budget", [50, 2000])
+    @pytest.mark.parametrize("budget", [1, 7, 50, 60, 2000])
     @given(complexes(max_m=6))
     @settings(max_examples=400, deadline=None)
     def test_matches_pairwise_reference(self, budget, K):
@@ -151,7 +151,7 @@ class TestCollapse:
 
 
 class TestCollapseAgainstReference:
-    @pytest.mark.parametrize("budget", [50, 2000])
+    @pytest.mark.parametrize("budget", [1, 7, 50, 60, 2000])
     @given(complexes(max_m=6))
     @settings(max_examples=400, deadline=None)
     def test_matches_recursive_reference(self, budget, K):

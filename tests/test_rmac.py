@@ -150,6 +150,24 @@ class TestHomology:
             with pytest.raises(ValueError, match="d\\^2 != 0"):
                 ChainComplex(cc.basis, boundary)
 
+    @pytest.mark.parametrize("lower, col, ok", [
+        # +-1 entries: the signed row multisets must agree
+        ([{0: 1}, {0: 1}], {0: 1, 1: -1}, True),
+        ([{0: 1}, {0: 1}], {0: 1, 1: 1}, False),
+        # any other coefficient is summed, above or below
+        ([{0: 1}, {0: 1}], {0: 2, 1: -1}, False),
+        ([{0: 1}, {0: 1}], {0: 2, 1: -2}, True),
+        ([{0: 2}, {0: 1}], {0: 1, 1: -1}, False),
+        ([{0: 2}, {0: 1}], {0: 1, 1: -2}, True),
+    ])
+    def test_dd_check_on_one_pair_of_columns(self, lower, col, ok):
+        basis = {0: ("v",), 1: ("x", "y"), 2: ("z",)}
+        if ok:
+            ChainComplex(basis, {1: lower, 2: [col]})
+        else:
+            with pytest.raises(ValueError, match="d\\^2 != 0"):
+                ChainComplex(basis, {1: lower, 2: [col]})
+
 
 class TestProductRule:
     def test_face_counts_multiply(self):

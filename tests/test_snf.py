@@ -1,5 +1,7 @@
+import copy
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge import snf
@@ -109,8 +111,10 @@ def _dense(cols, nrows):
 
 def _assert_reducer_matches_naive(cc):
     """Every d_q of the whole complex against the naive oracle on d_q alone."""
+    before = copy.deepcopy(cc.boundary)
     ranks, divisors = complex_rank_divisors(cc.boundary,
                                             {q: cc.dim(q) for q in cc.basis})
+    assert cc.boundary == before    # the columns are read, never modified
     for q, cols in cc.boundary.items():
         want = naive_snf_divisors(_dense(cols, cc.dim(q - 1)))
         assert divisors[q] == want, q
@@ -118,12 +122,30 @@ def _assert_reducer_matches_naive(cc):
     return ranks, divisors
 
 
+def _spy_phase_two(monkeypatch):
+    """Record the columns handed to the heap phase and the dense residues."""
+    heap_cols, residues = [], []
+    real_heap, real_snf = snf._heap_phase, snf.smith_normal_form
+
+    def heap_phase(col):
+        heap_cols.append(sum(len(cq) for cq in col.values()))
+        return real_heap(col)
+
+    def dense(matrix):
+        residues.append(matrix)
+        return real_snf(matrix)
+
+    monkeypatch.setattr(snf, "_heap_phase", heap_phase)
+    monkeypatch.setattr(snf, "smith_normal_form", dense)
+    return heap_cols, residues
+
+
 RP2_6 = make_complex(6, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5],
                          [2, 5, 6], [2, 3, 6], [1, 3, 6], [1, 4, 6],
                          [1, 2, 4], [4, 5, 6]])
 
 
-def test_complex_reducer_on_multidegree_chains():
+def test_complex_reducer_on_multidegree_chains(monkeypatch):
     # the worklist of zero-cost pivots cascades across degrees (a pivot in
     # d_q deletes a row of d_{q+1} and a column of d_{q-1}), which one-map
     # complexes never exercise
@@ -134,21 +156,20 @@ def test_complex_reducer_on_multidegree_chains():
     for _ in range(40):
         K = random_complex(rng, max_m=7)
         _assert_reducer_matches_naive(build_simplicial_chain_complex(K))
-    # RZ_K of the 6-vertex RP^2 has Z/2 in H~_2, a divisor 2 in d_3
+    # RZ_K of the 6-vertex RP^2 has Z/2 in H~_2, a divisor 2 in d_3; it
+    # takes the heap phase and the dense residue to find it
+    heap_cols, residues = _spy_phase_two(monkeypatch)
     _, divisors = _assert_reducer_matches_naive(
         cubical_chain_complex(build_rmac(RP2_6)))
     assert divisors[3][-1] == 2
+    assert heap_cols and heap_cols[0] > 0 and residues
 
 
 def test_worklist_takes_the_pivots_of_a_cubical_complex(monkeypatch):
     # on RZ_K of sk_2 of the 6-simplex every pivot has zero fill-in; they
     # must cascade through the worklist (each one exposing the next in the
-    # adjacent degrees) and not fall through to the Markowitz heap
-    pushes = []
-    real_push = snf.heapq.heappush
-    monkeypatch.setattr(snf.heapq, "heappush",
-                        lambda heap, item: (pushes.append(item),
-                                            real_push(heap, item)))
+    # adjacent degrees) and leave nothing for the Markowitz heap
+    heap_cols, residues = _spy_phase_two(monkeypatch)
     cc = cubical_chain_complex(build_rmac(skeleton_of_simplex(7, 2)))
     cells = sum(cc.dim(q) for q in cc.basis)
     ranks, divisors = complex_rank_divisors(cc.boundary,
@@ -156,7 +177,45 @@ def test_worklist_takes_the_pivots_of_a_cubical_complex(monkeypatch):
     # H~_3 of that RZ_K is free of rank sum_j C(7, j) C(j - 1, 3) = 209
     assert cells == 1809 and cells - 2 * sum(ranks.values()) == 209
     assert all(set(ds) == {1} for ds in divisors.values())
-    assert len(pushes) < cells // 10
+    assert sum(heap_cols) == 0 and not residues
+
+
+def test_reducer_matches_naive_on_random_one_map_complexes(monkeypatch):
+    # small entries leave many unit pivots with fill-in and many non-unit
+    # residues, so both halves of phase 2 run; explicit zero entries must be
+    # skipped without touching the caller's columns
+    heap_cols, residues = _spy_phase_two(monkeypatch)
+    rng = random.Random(23)
+    for _ in range(200):
+        A = random_matrix(rng, max_n=6, lo=-3, hi=3)
+        cols = [{i: A[i][j] for i in range(len(A)) if A[i][j] or i == j}
+                for j in range(len(A[0]))]
+        cc = ChainComplex({0: range(len(A)), 1: range(len(A[0]))}, {1: cols})
+        assert _assert_reducer_matches_naive(cc)[1][1] == naive_snf_divisors(A)
+    assert sum(1 for n in heap_cols if n) > 100 and len(residues) > 50
+
+
+def test_reducer_unit_pivots_that_all_fill_in(monkeypatch):
+    # every unit has a second entry in its row and in its column, so phase 1
+    # takes nothing and the heap phase gets the whole matrix
+    heap_cols, residues = _spy_phase_two(monkeypatch)
+    cols = [{0: 1, 1: 1}, {0: 1, 1: -1, 2: 2}, {1: 2, 2: 1, 3: 1},
+            {2: 1, 3: -1}]
+    cc = ChainComplex({0: range(4), 1: range(4)}, {1: cols})
+    ranks, divisors = _assert_reducer_matches_naive(cc)
+    assert heap_cols == [4]
+    assert divisors[1] == naive_snf_divisors(_dense(cols, 4))
+    assert divisors[1][-1] > 1 and residues
+
+
+def test_reducer_checks_dims():
+    cols = [{0: 1, 1: -1}, {1: 1}]
+    assert complex_rank_divisors({1: cols}, {0: 2, 1: 2}) == (
+        {1: 2}, {1: (1, 1)})
+    with pytest.raises(ValueError, match="columns"):
+        complex_rank_divisors({1: cols}, {0: 2, 1: 3})
+    with pytest.raises(ValueError, match="row index"):
+        complex_rank_divisors({1: cols}, {0: 1, 1: 2})
 
 
 def test_complex_reducer_first_pivot_from_a_one_entry_row():
