@@ -151,60 +151,23 @@ def shelling_search(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> Searc
     """Backtracking search for a shelling order of the facets.
 
     Candidates are tried in order of decreasing overlap with the union of the
-    placed facets, ties broken by vertex tuple, and failed placed-sets are
-    memoized (future feasibility only depends on the set, not the order that
-    reached it).  The union and each unplaced facet's overlap with it are
-    kept up to date as facets are placed and taken back, with the unplaced
-    facets bucketed by overlap, so a node only sorts the buckets it reaches.
+    placed facets, and failed placed-sets are memoized (future feasibility
+    only depends on the set, not the order that reached it).
     """
-    # K.facets is sorted by vertex tuple, so facet indices break the ties
+    # K.facets is sorted by vertex tuple, so the stable sort on overlap below
+    # breaks ties by vertex tuple
     facets = K.facets
     t = len(facets)
-    containing: dict[int, list[int]] = {}     # vertex bit -> facet indices
-    for i, f in enumerate(facets):
-        rem = f
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            containing.setdefault(b, []).append(i)
-    overlap = [0] * t
-    by_overlap: list[set[int]] = [set(range(t))]
-    by_overlap += [set() for _ in range(max((f.bit_count() for f in facets),
-                                            default=0))]
-    union = 0
-
-    def shift(new: int, step: int) -> None:
-        """Move the unplaced facets that meet new by step buckets per vertex."""
-        while new:
-            b = new & -new
-            new ^= b
-            for j in containing[b]:
-                k = overlap[j]
-                overlap[j] = k + step
-                bucket = by_overlap[k]
-                if j in bucket:
-                    bucket.remove(j)
-                    by_overlap[k + step].add(j)
 
     def children(placed: frozenset[int], order: list[int]):
-        # _backtrack resumes this generator only once the subtree under its
-        # last move is done, so the union and buckets are this node's again
-        # whenever it sorts a bucket or takes its move back
-        nonlocal union
-        for k in range(len(by_overlap) - 1, -1, -1):
-            for i in sorted(by_overlap[k]):
-                f = facets[i]
-                if order and not _shelling_ok(f, order):
-                    yield f, None
-                    continue
-                new = f & ~union
-                by_overlap[k].remove(i)
-                union |= f
-                shift(new, 1)
-                yield f, placed | {f}
-                shift(new, -1)
-                union ^= new
-                by_overlap[k].add(i)
+        union = 0
+        for g in order:
+            union |= g
+        cands = [f for f in facets if f not in placed]
+        cands.sort(key=lambda f: -(f & union).bit_count())
+        for f in cands:
+            ok = not order or _shelling_ok(f, order)
+            yield f, (placed | {f} if ok else None)
 
     res = _backtrack(frozenset(), lambda placed: len(placed) == t, children,
                      budget)

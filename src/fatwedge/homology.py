@@ -35,6 +35,11 @@ from .snf import (complex_rank_divisors, invariant_factors, is_prime,
 # d^2 = 0 invariant was actually exercised everywhere.
 DD_ZERO_CHECKS = {"chain_complexes": 0, "koszul_pieces": 0}
 
+# The d^2 check sorts signed rows only where d_{q-1} has at least this many
+# columns; on smaller maps (most full subcomplexes at m <= 8) building the
+# split costs more than the dict sums it saves.
+_SPLIT_MIN_COLUMNS = 64
+
 
 @dataclass(frozen=True)
 class CoefficientRing:
@@ -114,8 +119,9 @@ class ChainComplex:
         chains), d_{q-1} d_q x is zero exactly when the rows reached with a
         plus sign and those reached with a minus sign form equal multisets,
         so each column is checked by sorting two lists of row indices.  Any
-        other coefficient is summed in a dict.  The +-1 split is held for
-        one degree at a time.
+        other coefficient, or a d_{q-1} with fewer than _SPLIT_MIN_COLUMNS
+        columns, is summed in a dict.  The +-1 split is held for one degree
+        at a time.
         """
         split = None    # +-1 rows of each column of d_{q-1}, or None
         for q in sorted(self.boundary):
@@ -149,7 +155,7 @@ class ChainComplex:
                     if any(acc.values()):
                         raise ValueError(f"d^2 != 0 at degree {q}, column {j}")
             split = None
-            if q + 1 in self.boundary:
+            if q + 1 in self.boundary and len(cols) >= _SPLIT_MIN_COLUMNS:
                 split = _signed_rows(cols)
 
     def dim(self, q: int) -> int:

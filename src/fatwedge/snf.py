@@ -211,8 +211,8 @@ def complex_rank_divisors(boundaries, dims):
     """Ranks and divisors of every boundary matrix of a chain complex at once.
 
     boundaries maps degree q to the sparse integer columns of d_q (entries
-    over the (q-1)-basis); dims maps degree to basis size, and each d_q must
-    have dims[q] columns with row indices below dims[q - 1], else ValueError.
+    over the (q-1)-basis); dims maps degree to basis size, and a row index
+    of d_q at or above dims[q - 1] raises ValueError.
     Returns (ranks, divisors) dicts indexed by degree: ranks[q] is the rank
     of d_q over Q and divisors[q] its invariant divisors over Z, so ranks[q]
     == len(divisors[q]) and the rank over Z/p is ``rank_mod_p(divisors[q],
@@ -254,9 +254,6 @@ def complex_rank_divisors(boundaries, dims):
     alive: dict[int, bytearray] = {}
     for q, cq in boundaries.items():
         n = dims.get(q - 1, 0)
-        if len(cq) != dims.get(q, 0):
-            raise ValueError(f"d_{q} has {len(cq)} columns but dims[{q}] is "
-                             f"{dims.get(q)}")
         rq: list[list[int]] = [[] for _ in range(n)]
         try:
             for b, col in enumerate(cq):
@@ -381,9 +378,10 @@ def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
 
     col maps degree q to the nonzero columns {b: {a: v}} of d_q that phase 1
     of ``complex_rank_divisors`` left, and is reduced in place to the
-    residue.  Pivots come off a Markowitz heap keyed by (r - 1)(c - 1);
-    after each one, the zero-cost pivots it exposes are taken from a FIFO
-    worklist before the heap is consulted again.
+    residue.  Pivots come off a Markowitz heap keyed by (r - 1)(c - 1).
+    After each pivot, the columns it changed in d_q and every column it left
+    with one entry or alone in a row are pushed again at their new cost, so
+    the zero-cost pivots it exposes come off next.
     """
     row: dict[int, dict[int, dict[int, int]]] = {}
     for q, cq in col.items():
@@ -393,8 +391,8 @@ def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
                 rq.setdefault(a, {})[b] = v
         row[q] = rq
     pivots: dict[int, int] = dict.fromkeys(col, 0)
-    work: deque[tuple[int, int, int]] = deque()
     heap: list[tuple[int, int, int, int]] = []
+    changed: list[tuple[int, int]] = []    # columns to push after a pivot
 
     def push_col(q: int, b: int) -> None:
         colb = col[q][b]
@@ -404,30 +402,24 @@ def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
             if v == 1 or v == -1:
                 heapq.heappush(heap, ((len(rq[a]) - 1) * cb, q, a, b))
 
-    def offer_col(q: int, b: int, colb: dict[int, int]) -> None:
-        if len(colb) == 1:
-            ((a, v),) = colb.items()
-            if v == 1 or v == -1:
-                work.append((q, a, b))
-
-    def offer_row(q: int, a: int, rowa: dict[int, int]) -> None:
-        if len(rowa) == 1:
-            ((b, v),) = rowa.items()
-            if v == 1 or v == -1:
-                work.append((q, a, b))
+    def shorten(d: int, x: int, c: int) -> None:
+        """Delete entry (x, c) of d_d from row x; note a column left alone."""
+        rx = row[d][x]
+        del rx[c]
+        if not rx:
+            del row[d][x]
+        elif len(rx) == 1:
+            changed.append((d, next(iter(rx))))
 
     def eliminate(q: int, a: int, b: int, u: int) -> None:
         pivots[q] += 1
         cq, rq = col[q], row[q]
         colb = cq.pop(b)
         for x in colb:
-            rx = rq[x]
-            del rx[b]
-            if not rx:
-                del rq[x]
-            elif x != a:
-                offer_row(q, x, rx)
-        rowa = rq.pop(a, {})
+            if x != a:
+                shorten(q, x, b)
+        rowa = rq.pop(a)
+        del rowa[b]
         for c, lam in rowa.items():
             colc = cq[c]
             del colc[a]
@@ -441,14 +433,11 @@ def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
                     rq.setdefault(x, {})[c] = nv
                 elif x in colc:
                     del colc[x]
-                    rx = rq[x]
-                    del rx[c]
-                    if not rx:
-                        del rq[x]
+                    shorten(q, x, c)
             if not colc:
                 del cq[c]
             else:
-                push_col(q, c)
+                changed.append((q, c))
         # adjacent matrices: pure deletions
         up_r = row.get(q + 1)
         if up_r is not None:
@@ -460,20 +449,18 @@ def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
                     del ce[b]
                     if not ce:
                         del up_c[e]
-                    else:
-                        offer_col(q + 1, e, ce)
+                    elif len(ce) == 1:
+                        changed.append((q + 1, e))
         down_c = col.get(q - 1)
         if down_c is not None:
             ca = down_c.pop(a, None)
             if ca:
-                down_r = row[q - 1]
                 for y in ca:
-                    ry = down_r[y]
-                    del ry[a]
-                    if not ry:
-                        del down_r[y]
-                    else:
-                        offer_row(q - 1, y, ry)
+                    shorten(q - 1, y, a)
+        for d, c in changed:
+            if c in col[d]:
+                push_col(d, c)
+        changed.clear()
 
     for q, cq in col.items():
         for b in cq:
@@ -491,15 +478,6 @@ def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
             heapq.heappush(heap, (true_cost, q, a, b))
             continue
         eliminate(q, a, b, v)
-        while work:
-            q, a, b = work.popleft()
-            colb = col[q].get(b)
-            if colb is None:
-                continue
-            v = colb.get(a)
-            if v not in (1, -1) or (len(colb) > 1 and len(row[q][a]) > 1):
-                continue
-            eliminate(q, a, b, v)
     return pivots
 
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
+from fatwedge import homology
 from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
                                 make_complex, run, simplex,
                                 skeleton_of_simplex)
@@ -139,16 +140,25 @@ class TestHomology:
         cubical_chain_complex(C)    # memoized on C: no second build
         assert DD_ZERO_CHECKS["chain_complexes"] - before == 1
 
-    def test_flipped_sign_fails_dd_check(self):
+    @staticmethod
+    def _both_dd_paths(monkeypatch):
+        # the d^2 check sorts signed rows only on maps with enough columns;
+        # pin each path in turn so that both see every case
+        for least in (0, 10**9):
+            monkeypatch.setattr(homology, "_SPLIT_MIN_COLUMNS", least)
+            yield
+
+    def test_flipped_sign_fails_dd_check(self, monkeypatch):
         cc = cubical_chain_complex(build_rmac(C4))
-        for q in (1, 2):
-            boundary = {d: list(cols) for d, cols in cc.boundary.items()}
-            col = dict(boundary[q][0])
-            i = next(iter(col))
-            col[i] = -col[i]
-            boundary[q][0] = col
-            with pytest.raises(ValueError, match="d\\^2 != 0"):
-                ChainComplex(cc.basis, boundary)
+        for _ in self._both_dd_paths(monkeypatch):
+            for q in (1, 2):
+                boundary = {d: list(cols) for d, cols in cc.boundary.items()}
+                col = dict(boundary[q][0])
+                i = next(iter(col))
+                col[i] = -col[i]
+                boundary[q][0] = col
+                with pytest.raises(ValueError, match="d\\^2 != 0"):
+                    ChainComplex(cc.basis, boundary)
 
     @pytest.mark.parametrize("lower, col, ok", [
         # +-1 entries: the signed row multisets must agree
@@ -160,13 +170,15 @@ class TestHomology:
         ([{0: 2}, {0: 1}], {0: 1, 1: -1}, False),
         ([{0: 2}, {0: 1}], {0: 1, 1: -2}, True),
     ])
-    def test_dd_check_on_one_pair_of_columns(self, lower, col, ok):
+    def test_dd_check_on_one_pair_of_columns(self, lower, col, ok,
+                                             monkeypatch):
         basis = {0: ("v",), 1: ("x", "y"), 2: ("z",)}
-        if ok:
-            ChainComplex(basis, {1: lower, 2: [col]})
-        else:
-            with pytest.raises(ValueError, match="d\\^2 != 0"):
+        for _ in self._both_dd_paths(monkeypatch):
+            if ok:
                 ChainComplex(basis, {1: lower, 2: [col]})
+            else:
+                with pytest.raises(ValueError, match="d\\^2 != 0"):
+                    ChainComplex(basis, {1: lower, 2: [col]})
 
 
 class TestProductRule:
