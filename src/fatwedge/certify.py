@@ -207,8 +207,7 @@ _RULES = (
 
 @run()
 def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
-                        all_rules: bool = False,
-                        check_soundness: bool = True) -> TrivialityCertificate:
+                        all_rules: bool = False) -> TrivialityCertificate:
     """Run the sufficient conditions cheapest-first; fall back to a Golodness
     obstruction.  With all_rules=True every rule is force-run and its outcome
     recorded for cross-validation.
@@ -224,8 +223,9 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     AMS 348 (1996)).  The SCM answer is computed once per run and read by
     both dual rules, so the gate changes no verdict and no rule.
 
-    A "trivial" verdict is sanity-checked against the Golod report (the
-    decomposition implies Golodness), unless check_soundness is disabled.
+    A "trivial" verdict on a complex without ghost elements is always
+    sanity-checked against the Golod report (the decomposition implies
+    Golodness).
     """
     fired_rule = None
     fired_evidence = None
@@ -244,7 +244,7 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
         # vertex; ghost elements carry degree -1 classes invisible to the
         # (vacuously null) attaching maps
         ghost_free = K.support == (1 << K.m) - 1
-        report = golod_report(K) if check_soundness and ghost_free else None
+        report = golod_report(K) if ghost_free else None
         if report is not None and not report.golod:
             raise AssertionError(
                 f"soundness violation: rule {fired_rule} fired on a "

@@ -23,7 +23,7 @@ from .criteria import (DEFAULT_BUDGET, fill_search, is_dual_scm,
                        is_dual_shellable, is_scm, shelling_search,
                        strong_gcd_search)
 from .homology import reduced_homology, ring_from_string
-from .rmac import DEFAULT_MAX_M, build_rmac, hochster_identity_check
+from .rmac import DEFAULT_MAX_M, hochster_identity_check
 from . import corpus
 
 
@@ -114,12 +114,10 @@ def _cmd_homology(args) -> int:
 def _cmd_rmac(args) -> int:
     doc = _load(args.complex)
     ring = ring_from_string(args.coeff)
-    K = doc.complex()
-    C = build_rmac(K, max_m=args.max_m)
-    rep = hochster_identity_check(K, ring, max_m=args.max_m)
+    rep = hochster_identity_check(doc.complex(), ring, max_m=args.max_m)
     _emit({"name": doc.name, "command": "rmac",
-           "face_counts": {str(d): n for d, n in C.counts().items()},
-           "total_faces": C.total_faces(),
+           "face_counts": {str(d): n for d, n in rep.face_counts.items()},
+           "total_faces": sum(rep.face_counts.values()),
            "homology": rep.lhs.to_json(),
            "hochster_identity": rep.equal,
            "ring": repr(ring)})
@@ -311,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "subcomplex-sum identity")
     arg_complex(p)
     p.add_argument("--coeff", default="Z")
-    p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M)
+    p.add_argument("--max-m", type=_at_least(1), default=DEFAULT_MAX_M)
 
     p = add("dual", _cmd_dual, "Alexander dual facets")
     arg_complex(p)

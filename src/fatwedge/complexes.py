@@ -402,16 +402,11 @@ def alexander_dual(K: SimplicialComplex, ambient: int | None = None) -> Simplici
 
 # -- generated subcomplexes ------------------------------------------------
 
-def generated_subcomplex(K: SimplicialComplex, i: int, mode: str = "at_least") -> SimplicialComplex:
-    """Downward closure of the faces of dimension >= i (or exactly i)."""
+def generated_subcomplex(K: SimplicialComplex, i: int) -> SimplicialComplex:
+    """Downward closure of the faces of dimension >= i."""
     if i < 0:
         raise ValueError("generating dimension must be >= 0")
-    if mode == "at_least":
-        gens = [f for f in K.facets if f.bit_count() - 1 >= i]
-    elif mode == "exactly":
-        gens = list(K.faces(i))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    gens = [f for f in K.facets if f.bit_count() - 1 >= i]
     if not gens:
         return empty_complex(K.m)
     return SimplicialComplex(K.m, _maximal(gens), _trusted=True)

@@ -27,6 +27,10 @@ from .homology import (CoefficientRing, GF, ZZ, HomologyProfile,
 
 DEFAULT_BUDGET = 10 ** 6
 
+#: a component with r minimal non-faces has 2^r fillings; past this many,
+#: is_homology_fillable reports it "unknown" instead of trying them all
+MAX_FILL_SUBSETS = 1 << 14
+
 
 @dataclass(frozen=True)
 class ShellingOrder:
@@ -228,7 +232,7 @@ def is_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
             continue
         lk = link(K, verts(s))
         for i in range(0, lk.dim + 1):
-            Li = generated_subcomplex(lk, i, "at_least")
+            Li = generated_subcomplex(lk, i)
             if not is_i_acyclic(Li, ring, i - 1):
                 return False
     return True
@@ -323,6 +327,30 @@ def _filled(K: SimplicialComplex, chosen) -> SimplicialComplex:
     return SimplicialComplex(K.m, gens)
 
 
+def _collapse_filling(chosen, filled: SimplicialComplex, b: _Budget | None = None):
+    """A contractible-surrogate certificate for the filling chosen: a collapse
+    of the filled complex, else of its Alexander dual.
+
+    With b each search gets the nodes left in b and is charged to it;
+    without, each gets DEFAULT_BUDGET.  Returns the certificate or None, and
+    whether, with both searches run, either ran out of budget.
+    """
+    exhausted = False
+    for target in ("filled", "dual_of_filled"):
+        L = filled if target == "filled" else _dual_or_none(filled)
+        if L is None:
+            return None, False
+        res = collapse_search(L, DEFAULT_BUDGET if b is None else b.left)
+        if b is not None:
+            b.spend(res.nodes)
+        if res.found:
+            return FillingCertificate(chosen, "contractible_surrogate",
+                                      collapse=res.certificate,
+                                      collapse_target=target), False
+        exhausted = exhausted or res.status == "exhausted"
+    return None, exhausted
+
+
 def fill_search(K: SimplicialComplex, mode: str = "contractible_surrogate",
                 p: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -358,25 +386,10 @@ def fill_search(K: SimplicialComplex, mode: str = "contractible_surrogate",
                 continue
             if not reduced_homology(filled, ZZ).is_trivial():
                 continue
-            res = collapse_search(filled, budget=b.left)
-            b.spend(res.nodes)
-            if res.found:
-                return SearchResult("found", FillingCertificate(
-                    chosen, "contractible_surrogate",
-                    collapse=res.certificate, collapse_target="filled"),
-                    budget - b.left)
-            dual = _dual_or_none(filled)
-            if dual is not None:
-                res2 = collapse_search(dual, budget=b.left)
-                b.spend(res2.nodes)
-                if res2.found:
-                    return SearchResult("found", FillingCertificate(
-                        chosen, "contractible_surrogate",
-                        collapse=res2.certificate,
-                        collapse_target="dual_of_filled"),
-                        budget - b.left)
-                if res.status == "exhausted" or res2.status == "exhausted":
-                    budget_hit = True
+            cert, exhausted = _collapse_filling(chosen, filled, b)
+            if cert is not None:
+                return SearchResult("found", cert, budget - b.left)
+            budget_hit = budget_hit or exhausted
             unresolved = True
         if budget_hit:
             break
@@ -402,20 +415,7 @@ def filling_from_dual_shelling(K: SimplicialComplex, order: ShellingOrder) -> Fi
     mnf = set(minimal_nonfaces(K))
     if any(f not in mnf for f in fills):
         return None
-    filled = _filled(K, fills)
-    res = collapse_search(filled)
-    if res.found:
-        return FillingCertificate(fills, "contractible_surrogate",
-                                  collapse=res.certificate,
-                                  collapse_target="filled")
-    d2 = _dual_or_none(filled)
-    if d2 is not None:
-        res = collapse_search(d2)
-        if res.found:
-            return FillingCertificate(fills, "contractible_surrogate",
-                                      collapse=res.certificate,
-                                      collapse_target="dual_of_filled")
-    return None
+    return _collapse_filling(fills, _filled(K, fills))[0]
 
 
 # -- homology fillability --------------------------------------------------------
@@ -440,8 +440,7 @@ class HomologyFillableVerdict:
         return self.status == "certified"
 
 
-def is_homology_fillable(K: SimplicialComplex,
-                         max_subsets: int = 1 << 14) -> HomologyFillableVerdict:
+def is_homology_fillable(K: SimplicialComplex) -> HomologyFillableVerdict:
     """Per connected component: some filling must be Z/p-acyclic for every
     prime (decided through the finite torsion-prime set of the fillings, with
     Q as the proxy for all remaining primes), and simple connectivity of the
@@ -461,8 +460,8 @@ def is_homology_fillable(K: SimplicialComplex,
     reports = []
     for cmask in comps:
         L = full_subcomplex(K, verts(cmask))
-        reports.append(shared(("fill_report", L, max_subsets),
-                              lambda: _component_fill_report(L, max_subsets)))
+        reports.append(shared(("fill_report", L),
+                              lambda: _component_fill_report(L)))
     if any(r.status == "refuted" for r in reports):
         status = "refuted"
     elif any(r.status == "unknown" for r in reports):
@@ -472,10 +471,10 @@ def is_homology_fillable(K: SimplicialComplex,
     return HomologyFillableVerdict(status, tuple(reports))
 
 
-def _component_fill_report(L: SimplicialComplex, max_subsets) -> ComponentFillReport:
+def _component_fill_report(L: SimplicialComplex) -> ComponentFillReport:
     mnf = minimal_nonfaces(L)
     r = len(mnf)
-    if 1 << r > max_subsets:
+    if 1 << r > MAX_FILL_SUBSETS:
         return ComponentFillReport("unknown", refuted_at=None,
                                    simply_connected_surrogate=None)
     rank_zero: list[tuple[tuple[int, ...], HomologyProfile]] = []

@@ -6,13 +6,14 @@ coordinates in sigma are pinned at -1, coordinates outside tau at +1, and the
 complex consists of the faces with tau - sigma a face of K, and its fat wedge
 filtration level i keeps the faces with |sigma| >= m - i.
 
-Cells are stored as (sigma, tau) bitmask pairs; no geometric coordinates are
+A cell is stored as the integer code (sigma << m) | tau.  Since tau < 2^m,
+codes sort exactly like (sigma, tau) pairs.  No geometric coordinates are
 ever materialized, since homology only needs the cellular chain complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, run, subsets_of
 from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
@@ -24,12 +25,11 @@ DEFAULT_MAX_M = 12
 
 @dataclass
 class CubicalComplex:
-    """Boundary-closed set of cube faces with a provenance tag."""
+    """Boundary-closed set of cube faces: faces[d] holds the sorted codes
+    (sigma << m) | tau of the d-dimensional cells."""
 
     m: int
-    faces: dict[int, tuple[tuple[int, int], ...]]
-    provenance: str
-    _chain: ChainComplex | None = field(default=None, repr=False, compare=False)
+    faces: dict[int, tuple[int, ...]]
 
     def counts(self) -> dict[int, int]:
         return {d: len(cells) for d, cells in sorted(self.faces.items())}
@@ -42,18 +42,17 @@ def build_rmac(K: SimplicialComplex, max_m: int = DEFAULT_MAX_M,
                allow_large: bool = False) -> CubicalComplex:
     """All cube faces C_{sigma <= tau} with tau - sigma a face of K."""
     if K.m > max_m and not allow_large:
-        raise ValueError(f"m={K.m} exceeds the guardrail max_m={max_m}; "
-                         f"pass allow_large=True to override")
-    full = (1 << K.m) - 1
-    by_dim: dict[int, list[tuple[int, int]]] = {}
+        raise ValueError(f"m={K.m} exceeds the guardrail max_m={max_m} "
+                         f"(--max-m); raise max_m or pass allow_large=True")
+    m = K.m
+    full = (1 << m) - 1
+    by_dim: dict[int, list[int]] = {}
     for mu in K.all_faces():
-        d = mu.bit_count()
-        rest = full & ~mu
-        bucket = by_dim.setdefault(d, [])
-        for s in subsets_of(rest):
-            bucket.append((s, s | mu))
+        bucket = by_dim.setdefault(mu.bit_count(), [])
+        for s in subsets_of(full & ~mu):
+            bucket.append((s << m) | s | mu)
     faces = {d: tuple(sorted(cells)) for d, cells in by_dim.items()}
-    return CubicalComplex(K.m, faces, provenance=f"rmac(m={K.m})")
+    return CubicalComplex(m, faces)
 
 
 def rmac_filtration(K: SimplicialComplex, i: int, max_m: int = DEFAULT_MAX_M,
@@ -65,13 +64,13 @@ def rmac_filtration(K: SimplicialComplex, i: int, max_m: int = DEFAULT_MAX_M,
     if not 0 <= i <= K.m:
         raise ValueError(f"filtration level {i} out of range 0..{K.m}")
     ambient = build_rmac(K, max_m=max_m, allow_large=allow_large)
-    cut = K.m - i
+    m, cut = K.m, K.m - i
     faces = {}
     for d, cells in ambient.faces.items():
-        kept = tuple(st for st in cells if st[0].bit_count() >= cut)
+        kept = tuple(c for c in cells if (c >> m).bit_count() >= cut)
         if kept:
             faces[d] = kept
-    return CubicalComplex(K.m, faces, provenance=f"rmac_filtration(m={K.m}, i={i})")
+    return CubicalComplex(m, faces)
 
 
 def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
@@ -81,13 +80,12 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
     ascending order: the k-th smallest free coordinate j contributes
     (-1)^(k-1) * (C_{sigma <= tau-j} - C_{sigma+j <= tau}).
     """
-    if C._chain is not None:
-        return C._chain
     basis: dict[int, tuple] = {-1: (0,)}
     for d, cells in C.faces.items():
         basis[d] = cells
     m = C.m
-    index = {d: {(s << m) | t: i for i, (s, t) in enumerate(cells)}
+    full = (1 << m) - 1
+    index = {d: {c: i for i, c in enumerate(cells)}
              for d, cells in C.faces.items()}
     boundary: dict[int, list[dict[int, int]]] = {}
     if 0 in C.faces:
@@ -97,12 +95,11 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
             continue
         low = index[d - 1]
         cols = []
-        for s, t in C.faces[d]:
+        for key in C.faces[d]:
             # the facets (s, t - b) and (s + b, t) differ for every free b,
             # so no two terms of the column land on the same row
             col: dict[int, int] = {}
-            key = (s << m) | t
-            free = t & ~s
+            free = key & full & ~(key >> m)
             sign = 1
             while free:
                 b = free & -free
@@ -116,9 +113,7 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
                 sign = -sign
             cols.append(col)
         boundary[d] = cols
-    cc = ChainComplex(basis, boundary)
-    C._chain = cc
-    return cc
+    return ChainComplex(basis, boundary)
 
 
 def cubical_homology(C: CubicalComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:
@@ -128,12 +123,15 @@ def cubical_homology(C: CubicalComplex, ring: CoefficientRing = ZZ) -> HomologyP
 
 @dataclass(frozen=True)
 class HochsterReport:
-    """Comparison of H~_*(RZ_K) with the full-subcomplex homology sum."""
+    """Comparison of H~_*(RZ_K) with the full-subcomplex homology sum, and
+    the cell counts of the RZ_K that was reduced (not the cells themselves,
+    which would outlive the check)."""
 
     ring: CoefficientRing
     lhs: HomologyProfile
     rhs: HomologyProfile
     equal: bool
+    face_counts: dict[int, int]
 
     def to_json(self) -> dict:
         return {"ring": repr(self.ring), "equal": self.equal,
@@ -150,9 +148,12 @@ def hochster_identity_check(K: SimplicialComplex, ring: CoefficientRing = ZZ,
     Both sides are computed independently: the left from the cubical cell
     structure, the right from simplicial chains of every full subcomplex.
     """
-    lhs = cubical_homology(build_rmac(K, max_m=max_m, allow_large=allow_large), ring)
+    C = build_rmac(K, max_m=max_m, allow_large=allow_large)
+    counts = C.counts()
+    lhs = cubical_homology(C, ring)
+    del C     # free the cells before the full subcomplexes are reduced
     parts = []
     for imask in range(1, 1 << K.m):
         parts.append(full_subcomplex_homology(K, imask, ring).shifted(1))
     rhs = HomologyProfile.direct_sum(parts, ring)
-    return HochsterReport(ring, lhs, rhs, lhs == rhs)
+    return HochsterReport(ring, lhs, rhs, lhs == rhs, counts)

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,8 +61,24 @@ class TestCertify:
         assert cert.verdict == "trivial" and cert.rule == RULE_LOW_DUAL
 
     def test_soundness_assertion_runs(self):
-        cert = certify_fwf_trivial(RP2, check_soundness=True)
+        cert = certify_fwf_trivial(RP2)
         assert cert.golod is not None and cert.golod.golod
+
+    def test_soundness_violation_raises(self, monkeypatch):
+        # a rule that fires on a complex the Golod report calls non-Golod
+        monkeypatch.setattr(certify, "golod_report", lambda K: SimpleNamespace(
+            golod=False, witness_text="planted"))
+        with pytest.raises(AssertionError, match="rule FLAG_CHORDAL .*planted"):
+            certify_fwf_trivial(PATH)
+
+    def test_ghost_element_attaches_no_report(self, monkeypatch):
+        # a ghost carries a degree -1 class the attaching maps cannot see,
+        # so triviality says nothing about Golodness and no report is made
+        reports = []
+        monkeypatch.setattr(certify, "golod_report", reports.append)
+        cert = certify_fwf_trivial(with_ground(PATH, 5))
+        assert cert.verdict == "trivial" and cert.golod is None
+        assert reports == []
 
     def test_all_rules_mode_monotone(self):
         # whenever the dual-shellable rule fires, the weaker rules 6-8 fire
@@ -71,7 +88,7 @@ class TestCertify:
             K = load(name).complex()
             if K.m > 6:
                 continue
-            cert = certify_fwf_trivial(K, all_rules=True, check_soundness=False)
+            cert = certify_fwf_trivial(K, all_rules=True)
             run = dict(cert.rules_run)
             if run[RULE_DUAL_SHELLABLE] == "fired":
                 assert run[RULE_DUAL_SCM] == "fired"
@@ -101,8 +118,7 @@ class TestDualShellingGate:
             if is_dual_shellable(K, 20000).found:
                 shellable += 1
                 assert is_dual_scm(K, ZZ), K
-                cert = certify_fwf_trivial(K, budget=20000,
-                                           check_soundness=False)
+                cert = certify_fwf_trivial(K, budget=20000)
                 assert cert.rule in UP_TO_DUAL_SHELLABLE, K
             elif not is_dual_scm(K, ZZ):
                 not_scm += 1
@@ -125,15 +141,13 @@ class TestDualShellingGate:
         monkeypatch.setattr(criteria, "shelling_search", counted_search)
         K = skeleton_of_simplex(5, 1)     # its dual is shellable
         monkeypatch.setattr(certify, "is_dual_scm", scm(True))
-        rules = dict(certify_fwf_trivial(K, all_rules=True,
-                                         check_soundness=False).rules_run)
+        rules = dict(certify_fwf_trivial(K, all_rules=True).rules_run)
         assert rules[RULE_DUAL_SHELLABLE] == "fired"
         assert len(searches) == 1 and len(scm_calls) == 1
         searches.clear()
         scm_calls.clear()
         monkeypatch.setattr(certify, "is_dual_scm", scm(False))
-        rules = dict(certify_fwf_trivial(K, all_rules=True,
-                                         check_soundness=False).rules_run)
+        rules = dict(certify_fwf_trivial(K, all_rules=True).rules_run)
         assert rules[RULE_DUAL_SHELLABLE] == "not_fired"
         assert rules[RULE_DUAL_SCM] == "not_fired"
         # both dual rules read one answer from the run's store

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fatwedge import rmac
 from fatwedge.cli import ParseError, parse_complex, run_command
 from fatwedge.corpus import corpus_names, load
 
@@ -75,6 +76,29 @@ class TestCommands:
         assert code == 0
         assert out["face_counts"] == {"0": 16, "1": 32, "2": 16}
         assert out["hochster_identity"] is True
+
+    def test_rmac_builds_the_cubical_complex_once(self, capsys, monkeypatch):
+        builds, real = [], rmac.build_rmac
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rmac, "build_rmac", spy)
+        # also any binding the command module holds of its own
+        monkeypatch.setattr("fatwedge.cli.build_rmac", spy, raising=False)
+        code, out = run(capsys, "rmac", "c4")
+        assert code == 0 and out["total_faces"] == 64
+        assert len(builds) == 1
+
+    def test_rmac_max_m_must_be_positive(self, capsys):
+        assert run_command(["rmac", "c4", "--max-m", "-1"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_rmac_guard_names_the_option(self, capsys):
+        code, out = run(capsys, "rmac", "c4", "--max-m", "3")
+        assert code == 2
+        assert "--max-m" in out["error"] and "allow_large" in out["error"]
 
     def test_dual_and_nonfaces(self, capsys):
         code, out = run(capsys, "dual", "c4")

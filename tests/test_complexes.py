@@ -228,10 +228,6 @@ class TestGeneratedSubcomplex:
         got = generated_subcomplex(C4, 0)
         assert got == C4
 
-    def test_exactly_mode(self):
-        got = generated_subcomplex(simplex(3), 1, "exactly")
-        assert facet_tuples(got) == [(1, 2), (1, 3), (2, 3)]
-
     def test_empty_result(self):
         got = generated_subcomplex(make_complex(3, [[1]]), 1)
         assert facet_tuples(got) == [()]
