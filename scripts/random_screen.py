@@ -9,7 +9,6 @@ Usage: python scripts/random_screen.py [--count 100] [--max-m 6] [--seed 0]
 import argparse
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from fatwedge.certify import certify_fwf_trivial
 from fatwedge.complexes import make_complex, run
@@ -19,17 +18,9 @@ from fatwedge.rmac import hochster_identity_check
 from fatwedge.tor import golod_via_join, golod_via_tor
 
 
-@dataclass
-class ScreenConfig:
-    count: int = 100
-    max_m: int = 6
-    seed: int = 0
-    ghost_free: bool = True
-
-
-def sample(rng: random.Random, cfg: ScreenConfig):
-    m = rng.randint(2, cfg.max_m)
-    gens = [[v] for v in range(1, m + 1)] if cfg.ghost_free else []
+def sample(rng: random.Random, max_m: int, ghost_free: bool):
+    m = rng.randint(2, max_m)
+    gens = [[v] for v in range(1, m + 1)] if ghost_free else []
     for _ in range(rng.randint(0, 2 * m)):
         size = rng.randint(1, m)
         gens.append(rng.sample(range(1, m + 1), size))
@@ -44,17 +35,16 @@ def main() -> None:
     ap.add_argument("--with-ghosts", action="store_true",
                     help="allow ground-set elements that are not vertices")
     args = ap.parse_args()
-    cfg = ScreenConfig(args.count, args.max_m, args.seed,
-                       ghost_free=not args.with_ghosts)
-    rng = random.Random(cfg.seed)
+    ghost_free = not args.with_ghosts
+    rng = random.Random(args.seed)
 
     rules = Counter()
     verdicts = Counter()
     agreement_failures = 0
     identity_failures = 0
     chain_checked = 0
-    for i in range(cfg.count):
-        K = sample(rng, cfg)
+    for i in range(args.count):
+        K = sample(rng, args.max_m, ghost_free)
         # one run per complex: every check below reads the same full
         # subcomplexes and their homology
         with run():
@@ -66,12 +56,12 @@ def main() -> None:
             for ring in (QQ, GF(2)):
                 if golod_via_tor(K, ring).golod != golod_via_join(K, ring).golod:
                     agreement_failures += 1
-            if cfg.ghost_free and is_dual_shellable(K, budget=20000).found:
+            if ghost_free and is_dual_shellable(K, budget=20000).found:
                 chain_checked += 1
                 assert is_dual_scm(K, ZZ), K
                 assert strong_gcd_search(K).found, K
 
-    print(f"screened {cfg.count} complexes (max m = {cfg.max_m}, seed {cfg.seed})")
+    print(f"screened {args.count} complexes (max m = {args.max_m}, seed {args.seed})")
     print(f"verdicts: {dict(verdicts)}")
     print("rules fired:")
     for rule, n in rules.most_common():

@@ -174,7 +174,7 @@ def _try_all_fillable(K: SimplicialComplex, budget: int):
     fillings = {}
     for imask in _subsets_smallest_first(K.m):
         sub = full_subcomplex(K, verts(imask))
-        res = fill_search(sub, "contractible_surrogate", budget=budget)
+        res = fill_search(sub, budget=budget)
         if not res.found:
             return None
         cert: FillingCertificate = res.certificate

@@ -181,10 +181,9 @@ def _cmd_bbcg(args) -> int:
 def _cmd_fill(args) -> int:
     doc = _load(args.complex)
     if args.mode == "contractible":
-        res = fill_search(doc.complex(), "contractible_surrogate",
-                          budget=args.budget_nodes)
+        res = fill_search(doc.complex(), budget=args.budget_nodes)
     elif args.mode.startswith("p:"):
-        res = fill_search(doc.complex(), "p_acyclic", p=int(args.mode[2:]),
+        res = fill_search(doc.complex(), p=int(args.mode[2:]),
                           budget=args.budget_nodes)
     else:
         raise ParseError("$.mode: expected 'contractible' or 'p:<prime>'")

@@ -91,10 +91,6 @@ def subsets_of(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _facet_sort_key(mask: int) -> tuple[int, ...]:
-    return verts(mask)
-
-
 class SimplicialComplex:
     """Immutable simplicial complex on the ground set [m], given by facets."""
 
@@ -114,7 +110,7 @@ class SimplicialComplex:
                     raise ValueError(f"facet {verts(f)} not contained in [{m}]")
             fl = _maximal(fl)
         self.m = m
-        self.facets = tuple(sorted(set(fl), key=_facet_sort_key))
+        self.facets = tuple(sorted(set(fl), key=verts))
         self._faces_by_dim: dict[int, tuple[int, ...]] | None = None
         self._minimal_nonfaces: tuple[int, ...] | None = None
         self._hash = hash((self.m, self.facets))
@@ -156,7 +152,7 @@ class SimplicialComplex:
             for s in seen:
                 table.setdefault(s.bit_count() - 1, []).append(s)
             self._faces_by_dim = {
-                d: tuple(sorted(masks, key=_facet_sort_key))
+                d: tuple(sorted(masks, key=verts))
                 for d, masks in table.items()
             }
         return self._faces_by_dim
@@ -193,7 +189,7 @@ class SimplicialComplex:
         for v in parent:
             r = find(v)
             comps[r] = comps.get(r, 0) | (1 << (v - 1))
-        return tuple(sorted(comps.values(), key=_facet_sort_key))
+        return tuple(sorted(comps.values(), key=verts))
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """Subcomplex of faces of dimension <= k."""
@@ -248,7 +244,7 @@ def make_complex(m: int, generators: Iterable[Iterable[int]]) -> SimplicialCompl
                 raise ValueError(f"vertex {v} out of range 1..{m}")
         masks.append(mask_of(gs))
     if not masks:
-        return SimplicialComplex(m, (0,), _trusted=True)
+        return empty_complex(m)
     return SimplicialComplex(m, _maximal(masks), _trusted=True)
 
 
@@ -260,7 +256,7 @@ def simplex(m: int) -> SimplicialComplex:
 def boundary_of_simplex(m: int) -> SimplicialComplex:
     """Boundary of the full simplex on [m]; for m = 1 this is {()}."""
     if m == 1:
-        return SimplicialComplex(1, (0,), _trusted=True)
+        return empty_complex(1)
     full = (1 << m) - 1
     return SimplicialComplex(m, tuple(full ^ (1 << i) for i in range(m)), _trusted=True)
 
@@ -374,7 +370,7 @@ def minimal_nonfaces(K: SimplicialComplex) -> tuple[int, ...]:
                     break
             if ok:
                 found.add(cand)
-    result = tuple(sorted(found, key=_facet_sort_key))
+    result = tuple(sorted(found, key=verts))
     K._minimal_nonfaces = result
     return result
 

@@ -56,8 +56,7 @@ class GcdOrder:
 @dataclass(frozen=True)
 class FillingCertificate:
     nonfaces: tuple[int, ...]
-    mode: str                      # "contractible_surrogate" | "p_acyclic"
-    p: int | None = None
+    p: int | None = None           # the prime of a Z/p-acyclic filling
     collapse: CollapseSequence | None = None
     collapse_target: str | None = None   # "filled" | "dual_of_filled"
     profile: HomologyProfile | None = None
@@ -344,17 +343,16 @@ def _collapse_filling(chosen, filled: SimplicialComplex, b: _Budget | None = Non
         if b is not None:
             b.spend(res.nodes)
         if res.found:
-            return FillingCertificate(chosen, "contractible_surrogate",
-                                      collapse=res.certificate,
+            return FillingCertificate(chosen, collapse=res.certificate,
                                       collapse_target=target), False
         exhausted = exhausted or res.status == "exhausted"
     return None, exhausted
 
 
-def fill_search(K: SimplicialComplex, mode: str = "contractible_surrogate",
-                p: int | None = None,
+def fill_search(K: SimplicialComplex, p: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Search for minimal non-faces whose addition satisfies the mode.
+    """Search for minimal non-faces whose addition makes K Z/p-acyclic for a
+    prime p or, with p None, passes the contractible surrogate.
 
     Subsets are enumerated in size-lexicographic order, so the first hit is
     the canonical certificate.  For the contractible surrogate a filling must
@@ -362,10 +360,6 @@ def fill_search(K: SimplicialComplex, mode: str = "contractible_surrogate",
     Alexander dual (dual collapsibility also certifies contractibility); a
     Z-acyclicity failure on every subset is the only refutation channel.
     """
-    if mode not in ("contractible_surrogate", "p_acyclic"):
-        raise ValueError(f"unknown fill mode {mode!r}")
-    if mode == "p_acyclic" and p is None:
-        raise ValueError("p_acyclic mode needs a prime")
     mnf = minimal_nonfaces(K)
     b = _Budget(budget)
     budget_hit = False
@@ -377,11 +371,11 @@ def fill_search(K: SimplicialComplex, mode: str = "contractible_surrogate",
                 break
             chosen = tuple(mnf[i] for i in combo)
             filled = _filled(K, chosen)
-            if mode == "p_acyclic":
+            if p is not None:
                 prof = reduced_homology(filled, GF(p))
                 if prof.is_trivial():
                     return SearchResult("found", FillingCertificate(
-                        chosen, "p_acyclic", p=p, profile=prof),
+                        chosen, p=p, profile=prof),
                         budget - b.left)
                 continue
             if not reduced_homology(filled, ZZ).is_trivial():
@@ -404,8 +398,7 @@ def filling_from_dual_shelling(K: SimplicialComplex, order: ShellingOrder) -> Fi
     filled complex must pass a collapse search (itself or its dual)."""
     dual = _dual_or_none(K)
     if dual is None:
-        return FillingCertificate((), "contractible_surrogate",
-                                  collapse=CollapseSequence(()),
+        return FillingCertificate((), collapse=CollapseSequence(()),
                                   collapse_target="filled")
     if not is_shelling(dual, order.facets):
         return None

@@ -7,13 +7,13 @@ are Python ints, so there is no overflow.  ``complex_rank_divisors`` is the
 one sparse eliminator, over Z and divisors-only, for the bulk homology
 computations, where boundary matrices are large but almost all pivots are
 units: unit pivots are eliminated and split off, and whatever remains is
-handed to the dense routine.  It runs in two phases.  Phase 1 takes the
-pivots with no fill-in (a unit alone in its column or row) from a FIFO
-worklist, the coreduction cascade of Mrozek and Batko; such a pivot only
-deletes entries, so phase 1 reads the caller's columns in place and keeps
-nothing but counts and live-cell flags.  Phase 2 copies only the surviving
-entries, runs a Markowitz heap on them and hands the rest to the dense
-routine.  Field ranks are read off the divisors: over Q the rank is the
+handed to the dense routine.  It keeps one set of live-cell flags, entry
+counts and transpose lists.  Zero-cost pivots (a unit alone in its column
+or row) come from a FIFO worklist, the coreduction cascade of Mrozek and
+Batko; they only delete entries, so they read the caller's columns in
+place.  When none is left, the surviving columns are copied and the
+cheapest unit by Markowitz cost comes off a heap and is eliminated with
+fill-in.  Field ranks are read off the divisors: over Q the rank is the
 number of divisors, over Z/p it is ``rank_mod_p``.
 ``sparse_rank_divisors`` runs it on one matrix.
 """
@@ -224,28 +224,29 @@ def complex_rank_divisors(boundaries, dims):
     vanish in the adjusted basis because d^2 = 0).  This preserves all ranks
     and the homology.
 
-    The reduction runs in two phases.
-
-    Phase 1 is a coreduction on counts.  A unit pivot that is alone in its
-    column or in its row causes no fill-in: the column operations that clear
-    its row subtract multiples of a column that has no other entry, or there
-    are no other columns in its row to clear.  Eliminating it therefore only
-    deletes entries, namely every entry of the cells a and b, in d_q, d_{q+1}
-    and d_{q-1}, and never computes one.  So phase 1 keeps a flag per cell
-    and an entry count per row and column, reads the caller's columns and
-    their transpose in place, and kills the two cells of each such pivot.
-    Its pivots come from a FIFO worklist seeded with every one present at
+    One set of structures serves every pivot: a flag per cell, an entry
+    count per row and column, and the transpose of every d_q as lists of
+    columns per row.  A unit pivot that is alone in its column or in its
+    row costs nothing: the column operations that clear its row subtract
+    multiples of a column that has no other entry, or there are no other
+    columns in its row to clear.  Eliminating it only deletes entries,
+    namely every entry of the cells a and b, in d_q, d_{q+1} and d_{q-1},
+    so ``kill`` updates the counts and flags and never computes an entry.
+    Such pivots come from a FIFO worklist seeded with every one present at
     the start (on an augmented complex, the augmentation columns of the
     vertices, and the free faces); each kill appends the pivots it leaves
     behind.  On cell complexes this is the coreduction cascade of Mrozek and
-    Batko ("Coreduction homology algorithm", Discrete Comput. Geom. 41, 2009)
-    together with ordinary free face collapses.
+    Batko ("Coreduction homology algorithm", Discrete Comput. Geom. 41,
+    2009) together with ordinary free face collapses, and it reads the
+    caller's columns in place.
 
-    Phase 2 copies only the entries between surviving cells into dicts and
-    hands them to ``_heap_phase``, a Markowitz heap of unit pivots that do
-    fill in; whatever remains, typically a small non-unit residue, goes to
-    the dense Smith reduction.  Phase 2 is skipped when no survivor has an
-    entry.
+    When the worklist runs dry, each surviving column with an entry is
+    copied, filtered to live rows, and its unit entries go on a heap keyed
+    by their Markowitz cost (r - 1)(c - 1).  The cheapest is eliminated with
+    fill-in: ``fill_in`` clears its row in those copies, keeping counts and
+    transpose exact, and the worklist takes the zero-cost pivots that
+    exposes before the next heap pivot.  Whatever survives, typically a
+    small non-unit residue, goes to the dense Smith reduction.
     """
     cols: dict[int, Sequence[dict[int, int]]] = {}
     rows: dict[int, list[list[int]]] = {}
@@ -275,6 +276,7 @@ def complex_rank_divisors(boundaries, dims):
                 alive[d] = bytearray(b"\x01") * size
     pivots: dict[int, int] = dict.fromkeys(boundaries, 0)
     work: deque[tuple[int, int, int]] = deque()
+    heap: list[tuple[int, int, int, int]] = []
 
     def offer_col(q: int, b: int) -> None:
         lo = alive[q - 1]
@@ -327,6 +329,48 @@ def complex_rank_divisors(boundaries, dims):
                     if rc[y] == 1:
                         offer_row(q - 1, y)
 
+    def drain() -> None:
+        while work:
+            q, a, b = work.popleft()
+            if (alive[q][b] and alive[q - 1][a]
+                    and (ccount[q][b] == 1 or rcount[q][a] == 1)):
+                kill(q, a, b)
+
+    def push_col(q: int, b: int) -> None:
+        lo, rc = alive[q - 1], rcount[q]
+        cb = ccount[q][b] - 1
+        for a, v in cols[q][b].items():
+            if lo[a] and (v == 1 or v == -1):
+                heapq.heappush(heap, ((rc[a] - 1) * cb, q, a, b))
+
+    def fill_in(q: int, a: int, b: int, u: int) -> None:
+        # clear row a of d_q with the unit u at (a, b), then kill a and b;
+        # the columns change first, so every pivot kill offers is current
+        cq, rq, cc, rc = cols[q], rows[q], ccount[q], rcount[q]
+        hi, lo = alive[q], alive[q - 1]
+        colb = [(x, w) for x, w in cq[b].items() if lo[x] and x != a]
+        for c in rq[a]:
+            if hi[c] and c != b:
+                colc = cq[c]
+                factor = colc[a] * u    # u = +-1 is its own inverse
+                for x, w in colb:
+                    nv = colc.get(x, 0) - factor * w
+                    if not nv:
+                        del colc[x]
+                        cc[c] -= 1
+                        rc[x] -= 1
+                        rq[x].remove(c)
+                        continue
+                    if x not in colc:
+                        cc[c] += 1
+                        rc[x] += 1
+                        rq[x].append(c)
+                    colc[x] = nv
+        kill(q, a, b)
+        for c in rq[a]:
+            if hi[c] and cc[c]:
+                push_col(q, c)
+
     for q in sorted(cols):
         for b, n in enumerate(ccount[q]):
             if n == 1:
@@ -334,23 +378,35 @@ def complex_rank_divisors(boundaries, dims):
         for a, n in enumerate(rcount[q]):
             if n == 1:
                 offer_row(q, a)
-    while work:
-        q, a, b = work.popleft()
-        if (alive[q][b] and alive[q - 1][a]
-                and (ccount[q][b] == 1 or rcount[q][a] == 1)):
-            kill(q, a, b)
+    drain()
 
-    residue: dict[int, dict[int, dict[int, int]]] = {}
+    survivors: list[tuple[int, int]] = []
     for q, cq in cols.items():
         hi, lo, cc = alive[q], alive[q - 1], ccount[q]
-        live = {b: {a: v for a, v in cq[b].items() if lo[a]}
-                for b in range(len(cq)) if hi[b] and cc[b]}
-        if live:
-            residue[q] = live
-    del cols, rows, ccount, rcount, alive    # phase 2 holds only survivors
-    if residue:
-        for q, r in _heap_phase(residue).items():
-            pivots[q] += r
+        for b in range(len(cq)):
+            if hi[b] and cc[b]:
+                if cq is boundaries[q]:
+                    cq = cols[q] = list(cq)
+                cq[b] = {a: v for a, v in cq[b].items() if lo[a]}
+                survivors.append((q, b))
+                push_col(q, b)
+    while heap:
+        cost, q, a, b = heapq.heappop(heap)
+        u = cols[q][b].get(a)
+        if not (alive[q][b] and alive[q - 1][a]) or (u != 1 and u != -1):
+            continue
+        true_cost = (rcount[q][a] - 1) * (ccount[q][b] - 1)
+        if true_cost > cost and true_cost > 16:
+            heapq.heappush(heap, (true_cost, q, a, b))
+            continue
+        fill_in(q, a, b, u)
+        drain()
+
+    residue: dict[int, list[dict[int, int]]] = {}
+    for q, b in survivors:
+        if alive[q][b] and ccount[q][b]:
+            residue.setdefault(q, []).append(
+                {a: v for a, v in cols[q][b].items() if alive[q - 1][a]})
 
     ranks: dict[int, int] = {}
     divisors: dict[int, tuple[int, ...]] = {}
@@ -359,11 +415,11 @@ def complex_rank_divisors(boundaries, dims):
         ds: tuple[int, ...] = (1,) * r
         cq = residue.get(q)
         if cq:
-            rows_left = sorted({a for colb in cq.values() for a in colb})
+            rows_left = sorted({a for colb in cq for a in colb})
             apos = {a: i for i, a in enumerate(rows_left)}
             dense = [[0] * len(cq) for _ in rows_left]
-            for j, b in enumerate(sorted(cq)):
-                for a, v in cq[b].items():
+            for j, colb in enumerate(cq):
+                for a, v in colb.items():
                     dense[apos[a]][j] = v
             res = smith_normal_form(dense)
             r += res.rank
@@ -371,114 +427,6 @@ def complex_rank_divisors(boundaries, dims):
         ranks[q] = r
         divisors[q] = ds
     return ranks, divisors
-
-
-def _heap_phase(col: dict[int, dict[int, dict[int, int]]]) -> dict[int, int]:
-    """Unit pivots with fill-in, cheapest first; returns pivots per degree.
-
-    col maps degree q to the nonzero columns {b: {a: v}} of d_q that phase 1
-    of ``complex_rank_divisors`` left, and is reduced in place to the
-    residue.  Pivots come off a Markowitz heap keyed by (r - 1)(c - 1).
-    After each pivot, the columns it changed in d_q and every column it left
-    with one entry or alone in a row are pushed again at their new cost, so
-    the zero-cost pivots it exposes come off next.
-    """
-    row: dict[int, dict[int, dict[int, int]]] = {}
-    for q, cq in col.items():
-        rq: dict[int, dict[int, int]] = {}
-        for b, colb in cq.items():
-            for a, v in colb.items():
-                rq.setdefault(a, {})[b] = v
-        row[q] = rq
-    pivots: dict[int, int] = dict.fromkeys(col, 0)
-    heap: list[tuple[int, int, int, int]] = []
-    changed: list[tuple[int, int]] = []    # columns to push after a pivot
-
-    def push_col(q: int, b: int) -> None:
-        colb = col[q][b]
-        cb = len(colb) - 1
-        rq = row[q]
-        for a, v in colb.items():
-            if v == 1 or v == -1:
-                heapq.heappush(heap, ((len(rq[a]) - 1) * cb, q, a, b))
-
-    def shorten(d: int, x: int, c: int) -> None:
-        """Delete entry (x, c) of d_d from row x; note a column left alone."""
-        rx = row[d][x]
-        del rx[c]
-        if not rx:
-            del row[d][x]
-        elif len(rx) == 1:
-            changed.append((d, next(iter(rx))))
-
-    def eliminate(q: int, a: int, b: int, u: int) -> None:
-        pivots[q] += 1
-        cq, rq = col[q], row[q]
-        colb = cq.pop(b)
-        for x in colb:
-            if x != a:
-                shorten(q, x, b)
-        rowa = rq.pop(a)
-        del rowa[b]
-        for c, lam in rowa.items():
-            colc = cq[c]
-            del colc[a]
-            factor = lam * u    # u = +-1 is its own inverse
-            for x, w in colb.items():
-                if x == a:
-                    continue
-                nv = colc.get(x, 0) - factor * w
-                if nv:
-                    colc[x] = nv
-                    rq.setdefault(x, {})[c] = nv
-                elif x in colc:
-                    del colc[x]
-                    shorten(q, x, c)
-            if not colc:
-                del cq[c]
-            else:
-                changed.append((q, c))
-        # adjacent matrices: pure deletions
-        up_r = row.get(q + 1)
-        if up_r is not None:
-            rb = up_r.pop(b, None)
-            if rb:
-                up_c = col[q + 1]
-                for e in rb:
-                    ce = up_c[e]
-                    del ce[b]
-                    if not ce:
-                        del up_c[e]
-                    elif len(ce) == 1:
-                        changed.append((q + 1, e))
-        down_c = col.get(q - 1)
-        if down_c is not None:
-            ca = down_c.pop(a, None)
-            if ca:
-                for y in ca:
-                    shorten(q - 1, y, a)
-        for d, c in changed:
-            if c in col[d]:
-                push_col(d, c)
-        changed.clear()
-
-    for q, cq in col.items():
-        for b in cq:
-            push_col(q, b)
-    while heap:
-        cost, q, a, b = heapq.heappop(heap)
-        colb = col[q].get(b)
-        if colb is None:
-            continue
-        v = colb.get(a)
-        if v not in (1, -1):
-            continue
-        true_cost = (len(row[q][a]) - 1) * (len(colb) - 1)
-        if true_cost > cost and true_cost > 16:
-            heapq.heappush(heap, (true_cost, q, a, b))
-            continue
-        eliminate(q, a, b, v)
-    return pivots
 
 
 def rank_mod_p(divisors, p: int) -> int:

@@ -212,6 +212,23 @@ class TestCommands:
         code, out = run(capsys, "corpus", "c4", "--verify")
         assert code == 0 and out["all_ok"]
 
+    def test_corpus_verify_builds_the_cubical_complex_once(self, capsys,
+                                                           monkeypatch):
+        builds, real = [], rmac.build_rmac
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rmac, "build_rmac", spy)
+        monkeypatch.setattr("fatwedge.corpus.build_rmac", spy, raising=False)
+        code, out = run(capsys, "corpus", "c4", "--verify")
+        got = {c["key"]: c["got"] for c in out["checks"]}
+        assert code == 0 and out["all_ok"]
+        assert got["hochster_identity"] is True
+        assert got["rmac_counts"] == load("c4").expected["rmac_counts"]
+        assert len(builds) == 1
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):

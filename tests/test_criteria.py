@@ -230,7 +230,7 @@ class TestFill:
             assert res.certificate.nonface_tuples() == [tuple(range(1, m + 1))]
 
     def test_four_cycle_mod_two_refuted(self):
-        assert fill_search(C4, "p_acyclic", p=2).status == "refuted"
+        assert fill_search(C4, p=2).status == "refuted"
 
     def test_four_cycle_contractible_refuted(self):
         assert fill_search(C4).status == "refuted"

@@ -1,5 +1,7 @@
 import copy
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,22 +124,43 @@ def _assert_reducer_matches_naive(cc):
     return ranks, divisors
 
 
-def _spy_phase_two(monkeypatch):
-    """Record the columns handed to the heap phase and the dense residues."""
-    heap_cols, residues = [], []
-    real_heap, real_snf = snf._heap_phase, snf.smith_normal_form
+class _EngineSpy:
+    """Watch calls of ``complex_rank_divisors`` through its heap and the
+    dense Smith form.
 
-    def heap_phase(col):
-        heap_cols.append(sum(len(cq) for cq in col.values()))
-        return real_heap(col)
+    seeds holds the columns (q, b) pushed before the first pop: the
+    survivors of the zero-cost pivots that hold a unit.  residues holds the
+    matrices handed to the dense routine.  Only a fill-in pivot kills a
+    seeded column, so a residue with fewer columns than there are seeds
+    shows that one was taken.  ``reset`` starts the record of a new call.
+    """
 
-    def dense(matrix):
-        residues.append(matrix)
-        return real_snf(matrix)
+    def __init__(self, monkeypatch):
+        self.reset()
+        real_snf = snf.smith_normal_form
 
-    monkeypatch.setattr(snf, "_heap_phase", heap_phase)
-    monkeypatch.setattr(snf, "smith_normal_form", dense)
-    return heap_cols, residues
+        def heappush(heap, item):
+            if not self.popped:
+                self.seeds.add(item[1::2])
+            heapq.heappush(heap, item)
+
+        def heappop(heap):
+            self.popped = True
+            return heapq.heappop(heap)
+
+        def dense(matrix):
+            self.residues.append(matrix)
+            return real_snf(matrix)
+
+        monkeypatch.setattr(snf, "heapq", SimpleNamespace(
+            heappush=heappush, heappop=heappop))
+        monkeypatch.setattr(snf, "smith_normal_form", dense)
+
+    def reset(self):
+        self.seeds, self.residues, self.popped = set(), [], False
+
+    def filled_in(self) -> bool:
+        return sum(len(m[0]) for m in self.residues) < len(self.seeds)
 
 
 RP2_6 = make_complex(6, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5],
@@ -157,19 +180,19 @@ def test_complex_reducer_on_multidegree_chains(monkeypatch):
         K = random_complex(rng, max_m=7)
         _assert_reducer_matches_naive(build_simplicial_chain_complex(K))
     # RZ_K of the 6-vertex RP^2 has Z/2 in H~_2, a divisor 2 in d_3; it
-    # takes the heap phase and the dense residue to find it
-    heap_cols, residues = _spy_phase_two(monkeypatch)
+    # takes a fill-in pivot and the dense residue to find it
+    spy = _EngineSpy(monkeypatch)
     _, divisors = _assert_reducer_matches_naive(
         cubical_chain_complex(build_rmac(RP2_6)))
     assert divisors[3][-1] == 2
-    assert heap_cols and heap_cols[0] > 0 and residues
+    assert spy.filled_in() and spy.residues
 
 
 def test_worklist_takes_the_pivots_of_a_cubical_complex(monkeypatch):
     # on RZ_K of sk_2 of the 6-simplex every pivot has zero fill-in; they
     # must cascade through the worklist (each one exposing the next in the
     # adjacent degrees) and leave nothing for the Markowitz heap
-    heap_cols, residues = _spy_phase_two(monkeypatch)
+    spy = _EngineSpy(monkeypatch)
     cc = cubical_chain_complex(build_rmac(skeleton_of_simplex(7, 2)))
     cells = sum(cc.dim(q) for q in cc.basis)
     ranks, divisors = complex_rank_divisors(cc.boundary,
@@ -177,35 +200,53 @@ def test_worklist_takes_the_pivots_of_a_cubical_complex(monkeypatch):
     # H~_3 of that RZ_K is free of rank sum_j C(7, j) C(j - 1, 3) = 209
     assert cells == 1809 and cells - 2 * sum(ranks.values()) == 209
     assert all(set(ds) == {1} for ds in divisors.values())
-    assert sum(heap_cols) == 0 and not residues
+    assert not spy.seeds and not spy.residues
 
 
 def test_reducer_matches_naive_on_random_one_map_complexes(monkeypatch):
     # small entries leave many unit pivots with fill-in and many non-unit
-    # residues, so both halves of phase 2 run; explicit zero entries must be
-    # skipped without touching the caller's columns
-    heap_cols, residues = _spy_phase_two(monkeypatch)
+    # residues, so the heap and the dense routine both run; explicit zero
+    # entries must be skipped without touching the caller's columns
+    spy = _EngineSpy(monkeypatch)
     rng = random.Random(23)
+    filled = seeded = residues = 0
     for _ in range(200):
         A = random_matrix(rng, max_n=6, lo=-3, hi=3)
         cols = [{i: A[i][j] for i in range(len(A)) if A[i][j] or i == j}
                 for j in range(len(A[0]))]
         cc = ChainComplex({0: range(len(A)), 1: range(len(A[0]))}, {1: cols})
+        spy.reset()
         assert _assert_reducer_matches_naive(cc)[1][1] == naive_snf_divisors(A)
-    assert sum(1 for n in heap_cols if n) > 100 and len(residues) > 50
+        filled += spy.filled_in()
+        seeded += bool(spy.seeds)
+        residues += len(spy.residues)
+    assert seeded > 100 and filled > 50 and residues > 50
 
 
 def test_reducer_unit_pivots_that_all_fill_in(monkeypatch):
-    # every unit has a second entry in its row and in its column, so phase 1
-    # takes nothing and the heap phase gets the whole matrix
-    heap_cols, residues = _spy_phase_two(monkeypatch)
+    # every unit has a second entry in its row and in its column, so the
+    # worklist takes nothing and every column seeds the heap
+    spy = _EngineSpy(monkeypatch)
     cols = [{0: 1, 1: 1}, {0: 1, 1: -1, 2: 2}, {1: 2, 2: 1, 3: 1},
             {2: 1, 3: -1}]
     cc = ChainComplex({0: range(4), 1: range(4)}, {1: cols})
     ranks, divisors = _assert_reducer_matches_naive(cc)
-    assert heap_cols == [4]
+    assert spy.seeds == {(1, b) for b in range(4)}
     assert divisors[1] == naive_snf_divisors(_dense(cols, 4))
-    assert divisors[1][-1] > 1 and residues
+    assert divisors[1][-1] > 1 and spy.residues
+
+
+def test_fill_in_that_cancels_an_entry_exposes_a_zero_cost_pivot(monkeypatch):
+    # the cheapest pivot (0, 0) clears row 0 by subtracting column 0 from
+    # column 1, which cancels the entry (1, 1); row 1 is then left with
+    # only column 2 and column 1 with only row 2, two zero-cost pivots
+    # that must be read from the updated transpose and counts
+    spy = _EngineSpy(monkeypatch)
+    cols = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 2}]
+    cc = ChainComplex({0: range(3), 1: range(3)}, {1: cols})
+    ranks, divisors = _assert_reducer_matches_naive(cc)
+    assert divisors[1] == naive_snf_divisors(_dense(cols, 3)) == (1, 1, 1)
+    assert spy.seeds == {(1, b) for b in range(3)} and spy.filled_in()
 
 
 def test_reducer_checks_dims():
