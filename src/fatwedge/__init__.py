@@ -15,9 +15,8 @@ from .complexes import (SimplicialComplex, alexander_dual, boundary_of_simplex,
                         minimal_nonfaces, perfect_elimination_order, simplex,
                         skeleton_of_simplex, suspension)
 from .homology import (GF, QQ, ZZ, ChainComplex, CoefficientRing,
-                       HomologyProfile, dK, hodim, induced_map_on_homology,
-                       is_acyclic, is_i_acyclic, is_zero_on_homology,
-                       reduced_homology)
+                       HomologyProfile, dK, hodim, is_acyclic, is_i_acyclic,
+                       is_zero_on_homology, reduced_homology)
 from .snf import SNFResult, smith_normal_form
 from .rmac import (CubicalComplex, build_rmac, cubical_homology,
                    hochster_identity_check, rmac_filtration)

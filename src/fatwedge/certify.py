@@ -287,16 +287,17 @@ class SpacePoincare:
         if not s:
             raise ValueError("empty Betti polynomial")
         for term in s.split("+"):
-            mt = re.fullmatch(r"(\d+)?\*?(t(\^(\d+))?)?", term)
+            # "*" only between a coefficient and t
+            mt = re.fullmatch(r"(?:(\d+)(?:\*(?=t))?)?(t(?:\^(\d+))?)?", term)
             if not mt or not term:
                 raise ValueError(f"cannot parse Betti term {term!r}")
             coeff = int(mt.group(1)) if mt.group(1) else 1
             if mt.group(2) is None:
                 deg = 0
-            elif mt.group(4) is None:
+            elif mt.group(3) is None:
                 deg = 1
             else:
-                deg = int(mt.group(4))
+                deg = int(mt.group(3))
             coeffs[deg] = coeffs.get(deg, 0) + coeff
         top = max(coeffs)
         return SpacePoincare(tuple(coeffs.get(i, 0) for i in range(top + 1)))

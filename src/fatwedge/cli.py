@@ -161,7 +161,7 @@ def _cmd_bbcg(args) -> int:
     doc = _load(args.complex)
     K = doc.complex()
     ring = ring_from_string(args.coeff)
-    if args.betti:
+    if args.betti is not None:
         polys = [SpacePoincare.from_string(s) for s in args.betti.split(";")]
         if len(polys) == 1:
             polys = polys * K.m
@@ -172,7 +172,7 @@ def _cmd_bbcg(args) -> int:
         polys = [SpacePoincare.sphere(args.pair - 1)] * K.m
     rep = bbcg_summands(K, polys, ring)
     _emit({"name": doc.name, "command": "bbcg",
-           "pair": None if args.betti else args.pair,
+           "pair": None if args.betti is not None else args.pair,
            "betti": [p.poly_string() for p in polys],
            **rep.to_json()})
     return 0
@@ -328,11 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bbcg", _cmd_bbcg, "wedge decomposition report")
     arg_complex(p)
     p.add_argument("--coeff", default="Z")
-    p.add_argument("--pair", type=_at_least(1), default=1,
-                   help="n for the pair (D^n, S^(n-1)); default 1")
-    p.add_argument("--betti", default=None,
-                   help="semicolon-separated Betti polynomials, one per "
-                        "vertex (or one for all)")
+    pair_or_betti = p.add_mutually_exclusive_group()
+    pair_or_betti.add_argument("--pair", type=_at_least(1), default=1,
+                               help="n for the pair (D^n, S^(n-1)); default 1")
+    pair_or_betti.add_argument("--betti", default=None,
+                               help="semicolon-separated Betti polynomials, "
+                                    "one per vertex (or one for all)")
 
     p = add("fill", _cmd_fill, "search for a filling by minimal non-faces")
     arg_complex(p)

@@ -271,15 +271,9 @@ def empty_complex(m: int) -> SimplicialComplex:
 
 # -- subcomplex operations -------------------------------------------------
 
-def relabel_map(I: Iterable[int]) -> dict[int, int]:
-    """Order-preserving bijection from a vertex set onto 1..|I|."""
-    return {v: i + 1 for i, v in enumerate(sorted(set(I)))}
-
-
 def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex:
-    """K_I = {faces of K contained in I}, re-indexed onto 1..|I|.
+    """K_I = {faces of K contained in I}, re-indexed onto 1..|I| in order.
 
-    The re-indexing is the order-preserving bijection given by relabel_map(I).
     I = () is allowed and yields {()} on a 1-element ground set, so that sums
     over all subsets have a uniform degenerate case.
     """
@@ -290,12 +284,30 @@ def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex
     if not Iset:
         return empty_complex(1)
     imask = mask_of(Iset)
+    return shared(("full_sub", K, imask, 0), lambda: _restrict(K, imask, 0))
 
-    def build() -> SimplicialComplex:
-        restricted = _maximal(f & imask for f in K.facets)
-        return SimplicialComplex(len(Iset), tuple(_compress(f, imask) for f in restricted),
-                                 _trusted=True)
-    return shared(("full_sub", K, imask), build)
+
+def full_subcomplex_split(K: SimplicialComplex, imask: int,
+                          jmask: int) -> SimplicialComplex:
+    """K_{I u J} for disjoint I, J, re-indexed with I onto 1..|I| and J onto
+    |I|+1..|I|+|J|, each in order.
+
+    Cell for cell this is a subcomplex of join(K_I, K_J), and with J empty it
+    is K_I.
+    """
+    if imask & jmask or not imask | jmask or (imask | jmask) >> K.m:
+        raise ValueError(f"I={verts(imask)}, J={verts(jmask)}: need disjoint "
+                         f"subsets of [{K.m}], not both empty")
+    return shared(("full_sub", K, imask, jmask), lambda: _restrict(K, imask, jmask))
+
+
+def _restrict(K: SimplicialComplex, imask: int, jmask: int) -> SimplicialComplex:
+    shift = imask.bit_count()
+    restricted = _maximal(f & (imask | jmask) for f in K.facets)
+    return SimplicialComplex(
+        shift + jmask.bit_count(),
+        tuple(_compress(f, imask) | _compress(f, jmask) << shift
+              for f in restricted), _trusted=True)
 
 
 def _compress(mask: int, imask: int) -> int:

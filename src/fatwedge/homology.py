@@ -8,11 +8,11 @@ H in degree -1, which Hochster-type sums rely on).
 Boundary matrices are kept column-sparse.  Bulk invariants go through the
 one sparse integral eliminator in ``snf``: a single reduction gives the
 Smith divisors of every boundary map, and the ranks over Q and Z/p are read
-off them.  Homology bases with representative cycles, needed for induced
-maps and Tor products, are read off two dense transform-carrying Smith forms
-over Z, on the small complexes where maps are actually taken; the same two
-forms give the bases over Z, Q and Z/p, with integer generators and
-coordinates for every ring.
+off them.  Homology bases with representative cycles, needed to test
+inclusions of subcomplexes and Tor products for zero, are read off two
+dense transform-carrying Smith forms over Z, on the small complexes where
+classes are actually tested; the same two forms give the bases over Z, Q
+and Z/p, with integer generators and coordinates for every ring.
 
 A chain complex reduces itself over Z once, on first use, and keeps that
 reduction and the profile of every ring it is asked for, so every ring shares
@@ -22,7 +22,6 @@ GIL (worst case a profile is computed twice with equal values).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -380,7 +379,7 @@ def dK(K: SimplicialComplex) -> int | None:
     return best
 
 
-# -- homology bases and induced maps -----------------------------------------
+# -- homology bases and inclusions ------------------------------------------
 
 def _dense_boundary(cc: ChainComplex, q: int) -> list[list[int]]:
     nrows = cc.dim(q - 1)
@@ -482,96 +481,29 @@ class HomologyBasis:
         return not any(self.class_coords(chain))
 
 
-@dataclass(frozen=True)
-class InducedMap:
-    """Matrix of H_q(A) -> H_q(B) in the deterministic homology bases."""
-
-    degree: int
-    matrix: tuple[tuple, ...]   # rows: target generators; int entries
-    source_orders: tuple[int, ...]
-    target_orders: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not any(row) for row in self.matrix)
-
-
-def _simplicial_chain_map(A: SimplicialComplex, B: SimplicialComplex,
-                          vertex_map: Mapping[int, int] | None):
-    """Per-degree columns of the chain map induced by a vertex map."""
-    vmap = vertex_map or {v: v for v in range(1, A.m + 1)}
-    ccA = simplicial_chain_complex(A)
-    ccB = simplicial_chain_complex(B)
-    out: dict[int, list[dict[int, int]]] = {}
-    for q, cells in ccA.basis.items():
-        cols = []
-        for cell in cells:
-            if q == -1:
-                cols.append({ccB.index(-1, 0): 1})
-                continue
-            vs = verts(cell)
-            imgs = [vmap[v] for v in vs]
-            if len(set(imgs)) != len(imgs):
-                raise ValueError("vertex map is not injective on a simplex")
-            sign = _permutation_sign(imgs)
-            tgt = 0
-            for w in imgs:
-                tgt |= 1 << (w - 1)
-            if not B.has_face(tgt):
-                raise ValueError(f"vertex map is not simplicial: image of "
-                                 f"{vs} is not a face")
-            cols.append({ccB.index(q, tgt): sign})
-        out[q] = cols
-    return ccA, ccB, out
-
-
-def _permutation_sign(seq: Sequence[int]) -> int:
-    inv = 0
-    for i, j in itertools.combinations(range(len(seq)), 2):
-        if seq[i] > seq[j]:
-            inv += 1
-    return -1 if inv % 2 else 1
-
-
-def induced_map_on_homology(A: SimplicialComplex, B: SimplicialComplex,
-                            ring: CoefficientRing, q: int,
-                            vertex_map: Mapping[int, int] | None = None) -> InducedMap:
-    """Matrix of H~_q(A; ring) -> H~_q(B; ring) for a simplicial vertex map.
-
-    Bases are the ones produced by the homology engine (deterministic for the
-    fixed simplex ordering); over Z the coordinates of torsion generators are
-    reduced modulo their orders, over Z/p every coordinate mod p.  Over Q the
-    generators are integral and so are the coordinates of their pushforwards.
-    """
-    ccA, ccB, chain_map = _simplicial_chain_map(A, B, vertex_map)
-    hb_a = HomologyBasis(ccA, ring, q)
-    hb_b = HomologyBasis(ccB, ring, q)
-    cols = []
-    for gen in hb_a.generators:
-        pushed: dict[int, int] = {}
-        cmq = chain_map.get(q, [])
-        for i, v in enumerate(gen):
-            if not v:
-                continue
-            for tgt, s in cmq[i].items():
-                pushed[tgt] = pushed.get(tgt, 0) + v * s
-        cols.append(hb_b.class_coords(pushed))
-    matrix = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                   for i in range(hb_b.rank))
-    return InducedMap(q, matrix, tuple(hb_a.orders), tuple(hb_b.orders))
-
-
 def is_zero_on_homology(A: SimplicialComplex, B: SimplicialComplex,
                         ring: CoefficientRing,
-                        vertex_map: Mapping[int, int] | None = None,
                         degrees: Iterable[int] | None = None) -> bool:
-    """True iff the induced map vanishes in every (given) degree."""
+    """True iff the inclusion of A in B vanishes on H~_q for every (given) q.
+
+    A must be a subcomplex of B cell for cell, same vertex labels; each
+    generator of H~_q(A) is carried into B's chains unchanged and tested
+    there.  A cell of a pushed cycle that B lacks raises ValueError.
+    """
     if degrees is None:
         degrees = range(-1, A.dim + 1)
-    src = reduced_homology(A, ring)
+    ccA, ccB = simplicial_chain_complex(A), simplicial_chain_complex(B)
+    src = chain_homology(ccA, ring)
     for q in degrees:
         if src.betti(q) == 0 and not src.torsion_at(q):
             continue
-        if not induced_map_on_homology(A, B, ring, q, vertex_map).is_zero:
+        cells = ccA.basis[q]
+        gens = HomologyBasis(ccA, ring, q).generators
+        try:
+            pushed = [{ccB.index(q, cells[i]): v for i, v in enumerate(gen) if v}
+                      for gen in gens]
+        except KeyError:
+            raise ValueError(f"A is not a subcomplex of B in degree {q}") from None
+        if not all(map(HomologyBasis(ccB, ring, q).is_zero_class, pushed)):
             return False
     return True

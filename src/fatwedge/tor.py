@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (SimplicialComplex, full_subcomplex, join,
-                        relabel_map, run, shared, verts)
+from .complexes import (SimplicialComplex, full_subcomplex,
+                        full_subcomplex_split, join, run, shared, verts)
 from .homology import (DD_ZERO_CHECKS, ChainComplex, CoefficientRing, ZZ,
                        HomologyBasis, chain_homology, full_subcomplex_homology,
                        is_zero_on_homology, reduced_homology)
@@ -289,11 +289,13 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
     I, J the inclusion K_{I u J} -> K_I * K_J must vanish in homology.
 
     Works over Z as well as fields; degrees with trivial source or target
-    homology are skipped (the map is zero there for free), everything else
-    goes through the chain-level pushforward with relabeling signs.  A pair
-    where K_I or K_J is a cone v * L is skipped before the join is built:
-    (v * L) * M = v * (L * M) is a cone, hence contractible.  That test reads
-    only facets, so the oracle takes no chain data from the Tor oracle.
+    homology are skipped (the map is zero there for free).  K_{I u J} is
+    labelled with I below J (``full_subcomplex_split``), which makes it a
+    subcomplex of K_I * K_J cell for cell, so each source generator is tested
+    in the join unchanged.  A pair where K_I or K_J is a cone v * L is
+    skipped before the join is built: (v * L) * M = v * (L * M) is a cone,
+    hence contractible.  That test reads only facets, so the oracle takes no
+    chain data from the Tor oracle.
     """
     m = K.m
     subsets = sorted(range(1, 1 << m), key=verts)
@@ -322,12 +324,11 @@ def _join_pair_zero(K, imask: int, jmask: int, ring) -> int | None:
         return None
     B = join(KI, KJ)
     tgt_prof = reduced_homology(B, ring)
-    A = full_subcomplex(K, verts(imask | jmask))
-    vmap = _join_vertex_map(imask, jmask)
+    A = full_subcomplex_split(K, imask, jmask)
     for q in src_prof.nonzero_degrees():
         if tgt_prof.betti(q) == 0 and not tgt_prof.torsion_at(q):
             continue
-        if not is_zero_on_homology(A, B, ring, vertex_map=vmap, degrees=(q,)):
+        if not is_zero_on_homology(A, B, ring, degrees=(q,)):
             return q
     return None
 
@@ -339,21 +340,6 @@ def _is_cone(L: SimplicialComplex) -> bool:
     for f in L.facets[1:]:
         apex &= f
     return apex != 0
-
-
-def _join_vertex_map(imask: int, jmask: int) -> dict[int, int]:
-    """Vertex map K_{I u J} -> K_I * K_J after both sides are re-indexed."""
-    union = verts(imask | jmask)
-    rI = relabel_map(verts(imask))
-    rJ = relabel_map(verts(jmask))
-    shift = imask.bit_count()
-    vmap = {}
-    for pos, v in enumerate(union, start=1):
-        if imask & (1 << (v - 1)):
-            vmap[pos] = rI[v]
-        else:
-            vmap[pos] = shift + rJ[v]
-    return vmap
 
 
 def torsion_primes(K: SimplicialComplex) -> tuple[int, ...]:

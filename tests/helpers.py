@@ -18,7 +18,8 @@ from fatwedge.complexes import (SimplicialComplex, full_subcomplex, join,
                                 make_complex, mask_of, minimal_nonfaces, verts)
 from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
                                _Budget, _face_set, _has_gcd_witnesses, is_scm)
-from fatwedge.homology import ZZ, CoefficientRing
+from fatwedge.homology import (QQ, ZZ, CoefficientRing, HomologyBasis,
+                               reduced_homology, simplicial_chain_complex)
 from fatwedge.rmac import build_rmac
 from fatwedge.tor import _merge_sign
 
@@ -421,6 +422,90 @@ def _sum_terms(terms) -> dict:
     for c, e in terms:
         acc[e] = acc.get(e, 0) + c
     return {k: v for k, v in acc.items() if v}
+
+
+# -- the join Golod oracle through vertex maps and dense boundary tests ------
+
+def dense_boundary(K: SimplicialComplex, q: int) -> list[list[int]]:
+    """Dense d_q of the augmented simplicial chains, rows indexed by the
+    (q-1)-faces and columns by the q-faces, both in K.faces order."""
+    rows = {f: i for i, f in enumerate(K.faces(q - 1))}
+    mat = [[0] * len(K.faces(q)) for _ in rows]
+    for j, f in enumerate(K.faces(q)):
+        for i, v in enumerate(verts(f)):
+            mat[rows[f ^ (1 << (v - 1))]][j] = (-1) ** i
+    return mat
+
+
+def naive_is_boundary(K: SimplicialComplex, q: int, z: list[int],
+                      ring: CoefficientRing) -> bool:
+    """Whether the dense q-chain z is a boundary over ring, by a rank oracle:
+    appending z to d_{q+1} keeps its rank over a field and, over Z, its
+    Smith divisors (a lattice and a finite-index superlattice differ in
+    the product of their divisors)."""
+    up = dense_boundary(K, q + 1)
+    both = [row + [x] for row, x in zip(up, z)]
+    if ring == ZZ:
+        return naive_snf_divisors(both) == naive_snf_divisors(up)
+    if ring == QQ:
+        return len(naive_snf_divisors(both)) == len(naive_snf_divisors(up))
+    return naive_rank_mod_p(both, ring.p) == naive_rank_mod_p(up, ring.p)
+
+
+def _permutation_sign(seq) -> int:
+    inv = sum(1 for i, j in itertools.combinations(range(len(seq)), 2)
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
+def reference_golod_via_join(K: SimplicialComplex,
+                             ring: CoefficientRing) -> tuple[bool, str | None]:
+    """(golod, witness text) of the join oracle, computed the long way.
+
+    K_{I u J} keeps its own labels 1..|I u J|, and a vertex map with
+    permutation signs carries each generator of its homology into
+    K_I * K_J, where the dense naive oracles decide whether the image is a
+    boundary.  No pair or degree is skipped for a cone factor or a trivial
+    target; a degree with trivial source homology has no generator.
+    """
+    subsets = sorted(range(1, 1 << K.m), key=verts)
+    for ai, imask in enumerate(subsets):
+        for jmask in subsets[ai + 1:]:
+            if imask & jmask:
+                continue
+            q = _reference_join_pair(K, imask, jmask, ring)
+            if q is not None:
+                return False, (f"inclusion of K_I(union)J into K_I * K_J is "
+                               f"nonzero on H~_{q} for I={verts(imask)}, "
+                               f"J={verts(jmask)}")
+    return True, None
+
+
+def _reference_join_pair(K, imask: int, jmask: int, ring) -> int | None:
+    """First degree where K_{I u J} -> K_I * K_J is nonzero, else None."""
+    A = full_subcomplex(K, verts(imask | jmask))
+    src = reduced_homology(A, ring)
+    if src.is_trivial():
+        return None
+    B = join(full_subcomplex(K, verts(imask)), full_subcomplex(K, verts(jmask)))
+    # position of each vertex of I u J -> its label in K_I * K_J
+    rank_i = {v: k for k, v in enumerate(verts(imask), start=1)}
+    rank_j = {v: imask.bit_count() + k
+              for k, v in enumerate(verts(jmask), start=1)}
+    vmap = {pos: rank_i.get(v) or rank_j[v]
+            for pos, v in enumerate(verts(imask | jmask), start=1)}
+    for q in src.nonzero_degrees():
+        hb = HomologyBasis(simplicial_chain_complex(A), ring, q)
+        index = {f: i for i, f in enumerate(B.faces(q))}
+        for gen in hb.generators:
+            z = [0] * len(index)
+            for cell, c in zip(A.faces(q), gen):
+                if c:
+                    imgs = [vmap[v] for v in verts(cell)]
+                    z[index[mask_of(imgs)]] += _permutation_sign(imgs) * c
+            if not naive_is_boundary(B, q, z, ring):
+                return q
+    return None
 
 
 # -- constructions with no caller in the library ----------------------------

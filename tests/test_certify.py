@@ -206,8 +206,11 @@ class TestSpacePoincare:
         assert SpacePoincare.from_string("t^2").betti == (0, 0, 1)
         assert SpacePoincare.from_string("1+2t^3").betti == (1, 0, 0, 2)
         assert SpacePoincare.from_string("2*t").betti == (0, 2)
-        with pytest.raises(ValueError):
-            SpacePoincare.from_string("t^-1")
+        assert SpacePoincare.from_string("1 + 2*t^3").betti == (1, 0, 0, 2)
+        # "*" stands only between a coefficient and t
+        for bad in ("t^-1", "2*", "*t", "2*3", "t*"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                SpacePoincare.from_string(bad)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

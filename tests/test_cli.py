@@ -144,6 +144,19 @@ class TestCommands:
         assert code == 0
         assert out["betti"] == ["t + t^3", "t + t^3"]
 
+    def test_bbcg_pair_and_betti_exclude_each_other(self, capsys):
+        # --pair used to be dropped silently next to --betti
+        assert run_command(["bbcg", "c4", "--betti", "t^2", "--pair", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with" in captured.err
+
+    def test_bbcg_bad_betti_is_a_usage_error(self, capsys):
+        code, out = run(capsys, "bbcg", "c4", "--betti", "2*")
+        assert code == 2 and "'2*'" in out["error"]
+        # an empty --betti used to fall back to --pair 1
+        code, out = run(capsys, "bbcg", "c4", "--betti", "")
+        assert code == 2 and "empty Betti polynomial" in out["error"]
+
     def test_fill_modes(self, capsys):
         code, out = run(capsys, "fill", "c4", "--mode", "p:2")
         assert code == 1 and out["status"] == "refuted"

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
-                                empty_complex, full_subcomplex, join,
-                                make_complex, run, simplex, verts)
+                                empty_complex, full_subcomplex,
+                                full_subcomplex_split, join, make_complex,
+                                mask_of, run, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
 from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis,
                                build_simplicial_chain_complex, chain_homology,
-                               dK, hodim, induced_map_on_homology, is_acyclic,
-                               is_i_acyclic, is_zero_on_homology,
+                               dK, hodim, is_acyclic, is_i_acyclic,
+                               is_zero_on_homology,
                                reduced_homology, simplicial_chain_complex)
 from fatwedge.snf import complex_rank_divisors
 
-from helpers import (naive_rank_mod_p, naive_snf_divisors, random_complex,
-                     with_ground)
+from helpers import (dense_boundary, naive_is_boundary, naive_rank_mod_p,
+                     random_complex, with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -103,8 +104,9 @@ class TestReducedHomology:
             for p in (2, 3, 5):
                 prof = reduced_homology(K, GF(p))
                 for q in range(-1, K.dim + 1):
-                    want = (len(K.faces(q)) - naive_rank_mod_p(_boundary(K, q), p)
-                            - naive_rank_mod_p(_boundary(K, q + 1), p))
+                    want = (len(K.faces(q))
+                            - naive_rank_mod_p(dense_boundary(K, q), p)
+                            - naive_rank_mod_p(dense_boundary(K, q + 1), p))
                     assert prof.betti(q) == want, (K, p, q)
 
 
@@ -163,16 +165,6 @@ class TestOneReductionPerComplex:
             assert HomologyBasis(cc, ring, q).rank == 1
 
 
-def _boundary(K, q):
-    """Dense d_q of the augmented simplicial chains, rows indexed by (q-1)-faces."""
-    rows = {f: i for i, f in enumerate(K.faces(q - 1))}
-    mat = [[0] * len(K.faces(q)) for _ in rows]
-    for j, f in enumerate(K.faces(q)):
-        for i, v in enumerate(verts(f)):
-            mat[rows[f ^ (1 << (v - 1))]][j] = (-1) ** i
-    return mat
-
-
 class TestAcyclicity:
     def test_two_points(self):
         two = make_complex(2, [[1], [2]])
@@ -227,22 +219,15 @@ class TestAlexanderDuality:
 
 
 class TestInducedMaps:
+    """Maps on homology induced by inclusions of subcomplexes."""
+
     def test_identity_map(self):
-        m = induced_map_on_homology(C4, C4, ZZ, 1)
-        assert m.matrix == ((1,),) or m.matrix == ((-1,),)
+        assert not is_zero_on_homology(C4, C4, ZZ)
+        assert not is_zero_on_homology(RP2, RP2, ZZ)     # the Z/2 in H_1
 
     def test_two_points_merge_in_cycle(self):
         A = make_complex(4, [[1], [3]])
-        m = induced_map_on_homology(A, C4, QQ, 0)
-        assert m.is_zero
-        assert m.source_orders == (0,)
-
-    def test_relabeled_cycle_iso(self):
-        B = join(make_complex(2, [[1], [2]]), make_complex(2, [[1], [2]]))
-        vmap = {1: 1, 2: 3, 3: 2, 4: 4}
-        m = induced_map_on_homology(C4, B, ZZ, 1, vertex_map=vmap)
-        assert len(m.matrix) == 1 and abs(m.matrix[0][0]) == 1
-        assert not is_zero_on_homology(C4, B, ZZ, vertex_map=vmap)
+        assert is_zero_on_homology(A, C4, QQ)
 
     def test_torsion_detected_over_Z(self):
         # RP2 into the cone over RP2 kills everything
@@ -250,31 +235,56 @@ class TestInducedMaps:
         assert is_zero_on_homology(RP2, cone7, ZZ)
 
     def test_non_simplicial_map_rejected(self):
-        A = make_complex(2, [[1, 2]])
-        B = make_complex(2, [[1], [2]])
-        with pytest.raises(ValueError):
-            induced_map_on_homology(A, B, ZZ, 0)
+        # C4 is not a subcomplex of the path 1-2-3-4 (no edge 14), and the
+        # boundary of a triangle is not one of three points (no edges)
+        path = make_complex(4, [[1, 2], [2, 3], [3, 4]])
+        with pytest.raises(ValueError, match="not a subcomplex"):
+            is_zero_on_homology(C4, path, ZZ)
+        with pytest.raises(ValueError, match="not a subcomplex"):
+            is_zero_on_homology(boundary_of_simplex(3),
+                                make_complex(3, [[1], [2], [3]]), ZZ)
 
     def test_subcomplex_inclusion_rank(self):
-        # boundary of a triangle inside the full 2-skeleton of delta4
+        # boundary of a triangle inside the 1-skeleton of the simplex on [4]
         A = with_ground(boundary_of_simplex(3), 4)
         B = simplex(4).skeleton(1)
-        m = induced_map_on_homology(A, B, QQ, 1)
-        assert not m.is_zero
+        assert not is_zero_on_homology(A, B, QQ)
+        assert is_zero_on_homology(A, B, QQ, degrees=(0,))
 
 
-def _is_boundary(K, q, z, ring):
-    """Whether the dense chain z is a boundary over ring, by a rank oracle:
-    appending z to d_{q+1} keeps its rank over a field and, over Z, its
-    Smith divisors (a lattice and a finite-index superlattice differ in
-    the product of their divisors)."""
-    up = _boundary(K, q + 1)
-    both = [row + [x] for row, x in zip(up, z)]
-    if ring == ZZ:
-        return naive_snf_divisors(both) == naive_snf_divisors(up)
-    if ring == QQ:
-        return len(naive_snf_divisors(both)) == len(naive_snf_divisors(up))
-    return naive_rank_mod_p(both, ring.p) == naive_rank_mod_p(up, ring.p)
+class TestSplitFullSubcomplex:
+    def test_subcomplex_of_the_join_with_the_homology_of_K_IJ(self):
+        # 150 seeded complexes, every third with a ghost vertex added, each
+        # split at random into disjoint I, J; the labels are checked against
+        # I onto 1..|I| and J above it, each in order
+        rng = random.Random(1412)
+        for k in range(150):
+            K = random_complex(rng, max_m=6)
+            if k % 3 == 0:
+                K = with_ground(K, K.m + 1)
+            side = [rng.randrange(3) for _ in range(K.m)]
+            side[rng.randrange(K.m)] = 0
+            I = [v for v in range(1, K.m + 1) if side[v - 1] == 0]
+            J = [v for v in range(1, K.m + 1) if side[v - 1] == 1]
+            S = full_subcomplex_split(K, mask_of(I), mask_of(J))
+            union = full_subcomplex(K, sorted(I + J))
+            label = {v: n for n, v in enumerate(I + J, start=1)}
+            want = {mask_of(label[v] for v in verts(f))
+                    for f in range(1 << K.m)
+                    if K.has_face(f) and set(verts(f)) <= set(I + J)}
+            assert set(S.all_faces()) == want, (K, I, J)
+            assert S.f_vector() == union.f_vector()
+            assert reduced_homology(S, ZZ) == reduced_homology(union, ZZ)
+            if J:
+                B = join(full_subcomplex(K, I), full_subcomplex(K, J))
+                assert all(B.has_face(f) for f in S.facets), (K, I, J)
+            else:
+                assert S == full_subcomplex(K, I)
+
+    def test_overlapping_or_empty_sets_rejected(self):
+        for imask, jmask in ((0b011, 0b110), (0, 0), (0b10000, 0)):
+            with pytest.raises(ValueError):
+                full_subcomplex_split(C4.skeleton(0), imask, jmask)
 
 
 class TestHomologyBases:
@@ -288,8 +298,8 @@ class TestHomologyBases:
         cc = simplicial_chain_complex(K)
         hb = HomologyBasis(cc, ring, q)
         if ring.kind == "Zp":
-            want = (cc.dim(q) - naive_rank_mod_p(_boundary(K, q), ring.p)
-                    - naive_rank_mod_p(_boundary(K, q + 1), ring.p))
+            want = (cc.dim(q) - naive_rank_mod_p(dense_boundary(K, q), ring.p)
+                    - naive_rank_mod_p(dense_boundary(K, q + 1), ring.p))
             assert hb.rank == want
         up = cc.boundary.get(q + 1, ())
         for trial in range(6):
@@ -309,7 +319,7 @@ class TestHomologyBases:
                     for ci, d in zip(c, hb.orders)]
             chain = {i: v for i, v in enumerate(z) if v}
             assert hb.class_coords(chain) == want, (K, ring, q, c)
-            assert hb.is_zero_class(chain) == _is_boundary(K, q, z, ring), \
+            assert hb.is_zero_class(chain) == naive_is_boundary(K, q, z, ring), \
                 (K, ring, q, c)
 
     def test_rp2(self):
@@ -327,7 +337,7 @@ class TestHomologyBases:
         hb = HomologyBasis(cc, GF(2), 2)
         assert hb.rank == 1
         assert any(sum(v * x for v, x in zip(row, hb.generators[0]))
-                   for row in _boundary(K, 2))
+                   for row in dense_boundary(K, 2))
 
     def test_random_complexes(self):
         # 150 random complexes, then 20 with torsion: RP^2 with a few

@@ -1,5 +1,7 @@
-"""Smoke tests for the command-line scripts under scripts/."""
+"""Smoke tests for the command-line scripts under scripts/ and perfbench/."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +33,17 @@ def test_survey_corpus_lists_every_complex():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[2:]
     assert [row.split()[0] for row in rows] == list(corpus_names())
+
+
+def test_every_traced_name_exists():
+    # the benchmark tracer wraps these names by getattr; read them from its
+    # source so that a rename fails here rather than in a traced run
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    assert "tor" in traced and "join" in traced["complexes"]
+    for module, names in traced.items():
+        mod = importlib.import_module(f"fatwedge.{module}")
+        for name in names:
+            assert hasattr(mod, name), f"fatwedge.{module}.{name}"

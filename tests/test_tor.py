@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (boundary_of_simplex, cone, empty_complex,
                                 join, make_complex, run, simplex)
-from fatwedge.corpus import berglund_complex
+from fatwedge.corpus import berglund_complex, load
 from fatwedge.certify import golod_report
 from fatwedge import tor
 from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ, HomologyProfile,
@@ -14,7 +14,7 @@ from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
                           hochster_tor_check, tor_dimensions, torsion_primes)
 
 from helpers import (TorBasisElement, basis_product, random_complex,
-                     verify_leibniz)
+                     reference_golod_via_join, verify_leibniz, with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -271,3 +271,27 @@ class TestConeFactors:
         ungated = [golod_via_join(K, ring) for K in cases
                    for ring in (ZZ, GF(2))]
         assert gated == ungated
+
+
+class TestJoinOracleReference:
+    def test_verdicts_and_witnesses_match_the_reference(self):
+        # 300 seeded complexes, every third with a ghost vertex added, then
+        # four from the corpus and RP^2 with a ghost; the reference runs in
+        # a store of its own
+        rng = random.Random(1412)
+        cases = []
+        for k in range(300):
+            K = random_complex(rng, max_m=6)
+            cases.append(with_ground(K, K.m + 1) if k % 3 == 0 else K)
+        cases += [load(name).complex()
+                  for name in ("c4", "kite5", "rp2_6", "two_disjoint_edges")]
+        cases.append(with_ground(RP2, 7))
+        witnesses = set()
+        for K in cases:
+            for ring in (ZZ, QQ, GF(2)):
+                v = golod_via_join(K, ring)
+                with run():
+                    want = reference_golod_via_join(K, ring)
+                assert (v.golod, v.witness_text) == want, (K, ring)
+                witnesses.add(v.witness and v.witness[2])
+        assert witnesses >= {None, -1, 0, 1}
