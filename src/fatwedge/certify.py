@@ -173,7 +173,7 @@ def _subsets_smallest_first(m: int) -> list[int]:
 def _try_all_fillable(K: SimplicialComplex, budget: int):
     fillings = {}
     for imask in _subsets_smallest_first(K.m):
-        sub = full_subcomplex(K, verts(imask))
+        sub = full_subcomplex(K, imask)
         res = fill_search(sub, budget=budget)
         if not res.found:
             return None
@@ -186,7 +186,7 @@ def _try_all_fillable(K: SimplicialComplex, budget: int):
 
 def _try_all_homology_fillable(K: SimplicialComplex, budget: int):
     for imask in _subsets_smallest_first(K.m):
-        sub = full_subcomplex(K, verts(imask))
+        sub = full_subcomplex(K, imask)
         if not is_homology_fillable(sub).certified:
             return None
     return {"full_subcomplexes": (1 << K.m) - 1}

@@ -271,33 +271,22 @@ def empty_complex(m: int) -> SimplicialComplex:
 
 # -- subcomplex operations -------------------------------------------------
 
-def full_subcomplex(K: SimplicialComplex, I: Iterable[int]) -> SimplicialComplex:
-    """K_I = {faces of K contained in I}, re-indexed onto 1..|I| in order.
+def full_subcomplex(K: SimplicialComplex, imask: int,
+                    jmask: int = 0) -> SimplicialComplex:
+    """K_{I u J} for disjoint vertex masks I, J, re-indexed with I onto
+    1..|I| and J onto |I|+1..|I|+|J|, each in order.
 
-    I = () is allowed and yields {()} on a 1-element ground set, so that sums
-    over all subsets have a uniform degenerate case.
+    With J empty this is K_I in its standard labelling; with J nonempty it
+    is, cell for cell, a subcomplex of join(K_I, K_J).  I = J = 0 yields {()}
+    on a 1-element ground set, so that sums over all subsets have a uniform
+    degenerate case.  Overlapping masks, or a vertex outside [m], raise
+    ValueError.
     """
-    Iset = sorted(set(I))
-    for v in Iset:
-        if not (1 <= v <= K.m):
-            raise ValueError(f"vertex {v} not in ground set [{K.m}]")
-    if not Iset:
-        return empty_complex(1)
-    imask = mask_of(Iset)
-    return shared(("full_sub", K, imask, 0), lambda: _restrict(K, imask, 0))
-
-
-def full_subcomplex_split(K: SimplicialComplex, imask: int,
-                          jmask: int) -> SimplicialComplex:
-    """K_{I u J} for disjoint I, J, re-indexed with I onto 1..|I| and J onto
-    |I|+1..|I|+|J|, each in order.
-
-    Cell for cell this is a subcomplex of join(K_I, K_J), and with J empty it
-    is K_I.
-    """
-    if imask & jmask or not imask | jmask or (imask | jmask) >> K.m:
+    if imask & jmask or (imask | jmask) >> K.m:
         raise ValueError(f"I={verts(imask)}, J={verts(jmask)}: need disjoint "
-                         f"subsets of [{K.m}], not both empty")
+                         f"subsets of [{K.m}]")
+    if not imask | jmask:
+        return empty_complex(1)
     return shared(("full_sub", K, imask, jmask), lambda: _restrict(K, imask, jmask))
 
 
@@ -323,9 +312,9 @@ def _compress(mask: int, imask: int) -> int:
     return out
 
 
-def link(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
-    """lk_K(sigma), on the ground set [m] - sigma re-indexed onto 1..m-|sigma|."""
-    smask = mask_of(sigma)
+def link(K: SimplicialComplex, smask: int) -> SimplicialComplex:
+    """lk_K(sigma) for the face sigma with vertex mask smask, on the ground
+    set [m] - sigma re-indexed onto 1..m-|sigma|."""
     if not K.has_face(smask):
         raise ValueError(f"{verts(smask)} is not a face, link undefined")
     if smask == (1 << K.m) - 1:

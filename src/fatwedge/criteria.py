@@ -229,7 +229,7 @@ def is_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
     for s in K.all_faces():
         if s == full:
             continue
-        lk = link(K, verts(s))
+        lk = link(K, s)
         for i in range(0, lk.dim + 1):
             Li = generated_subcomplex(lk, i)
             if not is_i_acyclic(Li, ring, i - 1):
@@ -326,21 +326,31 @@ def _filled(K: SimplicialComplex, chosen) -> SimplicialComplex:
     return SimplicialComplex(K.m, gens)
 
 
+def _fillings(K: SimplicialComplex, mnf):
+    """(chosen, filled) for every subset of the minimal non-faces mnf, in
+    size-lexicographic order."""
+    for size in range(len(mnf) + 1):
+        for combo in itertools.combinations(mnf, size):
+            yield combo, _filled(K, combo)
+
+
 def _collapse_filling(chosen, filled: SimplicialComplex, b: _Budget | None = None):
     """A contractible-surrogate certificate for the filling chosen: a collapse
     of the filled complex, else of its Alexander dual.
 
     With b each search gets the nodes left in b and is charged to it;
-    without, each gets DEFAULT_BUDGET.  Returns the certificate or None, and
-    whether, with both searches run, either ran out of budget.
+    without, each gets DEFAULT_BUDGET.  Once a search overruns b, the dual
+    still gets a budget of 0, uncharged: a dual that is a single vertex
+    needs no move.  Returns the certificate or None, and whether a search
+    ran out of budget.
     """
     exhausted = False
     for target in ("filled", "dual_of_filled"):
         L = filled if target == "filled" else _dual_or_none(filled)
         if L is None:
-            return None, False
-        res = collapse_search(L, DEFAULT_BUDGET if b is None else b.left)
-        if b is not None:
+            break
+        res = collapse_search(L, DEFAULT_BUDGET if b is None else max(b.left, 0))
+        if b is not None and not exhausted:
             b.spend(res.nodes)
         if res.found:
             return FillingCertificate(chosen, collapse=res.certificate,
@@ -360,36 +370,27 @@ def fill_search(K: SimplicialComplex, p: int | None = None,
     Alexander dual (dual collapsibility also certifies contractibility); a
     Z-acyclicity failure on every subset is the only refutation channel.
     """
-    mnf = minimal_nonfaces(K)
     b = _Budget(budget)
-    budget_hit = False
     unresolved = False
-    for size in range(0, len(mnf) + 1):
-        for combo in itertools.combinations(range(len(mnf)), size):
-            if not b.spend():
-                budget_hit = True
-                break
-            chosen = tuple(mnf[i] for i in combo)
-            filled = _filled(K, chosen)
-            if p is not None:
-                prof = reduced_homology(filled, GF(p))
-                if prof.is_trivial():
-                    return SearchResult("found", FillingCertificate(
-                        chosen, p=p, profile=prof),
+    for chosen, filled in _fillings(K, minimal_nonfaces(K)):
+        if not b.spend():
+            return SearchResult("exhausted", None, budget + 1)
+        if p is not None:
+            prof = reduced_homology(filled, GF(p))
+            if prof.is_trivial():
+                return SearchResult("found", FillingCertificate(
+                    chosen, p=p, profile=prof), budget - b.left)
+            continue
+        if not reduced_homology(filled, ZZ).is_trivial():
+            continue
+        cert, exhausted = _collapse_filling(chosen, filled, b)
+        if cert is not None:
+            return SearchResult("found", cert, budget - b.left)
+        if exhausted:
+            return SearchResult("exhausted", None, budget + 1)
+        unresolved = True
+    return SearchResult("exhausted" if unresolved else "refuted", None,
                         budget - b.left)
-                continue
-            if not reduced_homology(filled, ZZ).is_trivial():
-                continue
-            cert, exhausted = _collapse_filling(chosen, filled, b)
-            if cert is not None:
-                return SearchResult("found", cert, budget - b.left)
-            budget_hit = budget_hit or exhausted
-            unresolved = True
-        if budget_hit:
-            break
-    if budget_hit or unresolved:
-        return SearchResult("exhausted", None, budget - b.left)
-    return SearchResult("refuted", None, budget - b.left)
 
 
 def filling_from_dual_shelling(K: SimplicialComplex, order: ShellingOrder) -> FillingCertificate | None:
@@ -418,9 +419,6 @@ class ComponentFillReport:
     status: str                       # "certified" | "refuted" | "unknown"
     fillings_by_prime: tuple = ()     # ((label, nonface tuples) ...)
     refuted_at: str | None = None
-    simply_connected_surrogate: bool | None = None
-    chordal_one_skeleton: bool | None = None
-    triangles_spanned: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -435,9 +433,11 @@ class HomologyFillableVerdict:
 
 def is_homology_fillable(K: SimplicialComplex) -> HomologyFillableVerdict:
     """Per connected component: some filling must be Z/p-acyclic for every
-    prime (decided through the finite torsion-prime set of the fillings, with
-    Q as the proxy for all remaining primes), and simple connectivity of the
-    completed component is certified by the chordal/flag surrogate.
+    prime, and simple connectivity of the completed component is certified
+    by the chordal/flag surrogate.  The first filling in size-lexicographic
+    order with no free homology is Z/p-acyclic for every prime outside its
+    torsion, so only the primes of that torsion are searched; with no such
+    filling the component is refuted at Q.
 
     The surrogate checks the component completed by its minimal non-faces of
     dimension >= 2: its one-skeleton must be chordal and every 3-clique of
@@ -452,7 +452,7 @@ def is_homology_fillable(K: SimplicialComplex) -> HomologyFillableVerdict:
         return HomologyFillableVerdict("certified", ())
     reports = []
     for cmask in comps:
-        L = full_subcomplex(K, verts(cmask))
+        L = full_subcomplex(K, cmask)
         reports.append(shared(("fill_report", L),
                               lambda: _component_fill_report(L)))
     if any(r.status == "refuted" for r in reports):
@@ -466,52 +466,46 @@ def is_homology_fillable(K: SimplicialComplex) -> HomologyFillableVerdict:
 
 def _component_fill_report(L: SimplicialComplex) -> ComponentFillReport:
     mnf = minimal_nonfaces(L)
-    r = len(mnf)
-    if 1 << r > MAX_FILL_SUBSETS:
-        return ComponentFillReport("unknown", refuted_at=None,
-                                   simply_connected_surrogate=None)
-    rank_zero: list[tuple[tuple[int, ...], HomologyProfile]] = []
-    for size in range(0, r + 1):
-        for combo in itertools.combinations(range(r), size):
-            chosen = tuple(mnf[i] for i in combo)
-            # the 2^r fillings skip the run's store, which they would swell
-            chains = build_simplicial_chain_complex(_filled(L, chosen))
-            prof = chain_homology(chains, ZZ)
+    if 1 << len(mnf) > MAX_FILL_SUBSETS:
+        return ComponentFillReport("unknown")
+
+    def rank_zero():
+        # the fillings skip the run's store, which they would swell
+        for chosen, filled in _fillings(L, mnf):
+            prof = chain_homology(build_simplicial_chain_complex(filled), ZZ)
             if not prof.free:
-                rank_zero.append((chosen, prof))
-    if not rank_zero:
+                yield chosen, prof
+
+    first = next(rank_zero(), None)
+    if first is None:
         return ComponentFillReport("refuted", refuted_at="Q")
-    primes = sorted({p for _, prof in rank_zero for p in prof.torsion_primes()})
-    fillings = [("Q", [verts(M) for M in rank_zero[0][0]])]
-    for p in primes:
-        pick = next((chosen for chosen, prof in rank_zero
+    # the first Q-acyclic filling is Z/p-acyclic for every p outside its
+    # torsion, so only those primes need a search
+    fillings = [("Q", [verts(M) for M in first[0]])]
+    for p in first[1].torsion_primes():
+        pick = next((chosen for chosen, prof in rank_zero()
                      if p not in prof.torsion_primes()), None)
         if pick is None:
             return ComponentFillReport("refuted", refuted_at=f"p={p}")
         fillings.append((f"p={p}", [verts(M) for M in pick]))
-    chordal, spanned = _simply_connected_surrogate(L, mnf)
-    ok = chordal and spanned
-    return ComponentFillReport("certified" if ok else "unknown",
-                               fillings_by_prime=tuple(fillings),
-                               simply_connected_surrogate=ok,
-                               chordal_one_skeleton=chordal,
-                               triangles_spanned=spanned)
+    return ComponentFillReport(
+        "certified" if _simply_connected_surrogate(L, mnf) else "unknown",
+        fillings_by_prime=tuple(fillings))
 
 
-def _simply_connected_surrogate(L: SimplicialComplex, mnf) -> tuple[bool, bool]:
+def _simply_connected_surrogate(L: SimplicialComplex, mnf) -> bool:
     hat = _filled(L, [M for M in mnf if M.bit_count() >= 3])
     sk1 = hat.skeleton(1)
-    chordal = is_chordal(sk1)
-    spanned = True
+    if not is_chordal(sk1):
+        return False
     edges = set(sk1.faces(1))
     for trio in itertools.combinations(verts(hat.support), 3):
         a, b, c = trio
         e1, e2, e3 = mask_of((a, b)), mask_of((a, c)), mask_of((b, c))
         if e1 in edges and e2 in edges and e3 in edges:
             if not hat.has_face(mask_of(trio)):
-                spanned = False
-                break
-    return chordal, spanned
+                return False
+    return True
 
 
 # -- strong gcd-condition -----------------------------------------------------------

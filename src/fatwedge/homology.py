@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .complexes import SimplicialComplex, full_subcomplex, run, shared, verts
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
-                  rank_mod_p, smith_normal_form)
+                  prime_factors, rank_mod_p, smith_normal_form)
 
 # Tally of boundary-squared verifications, one entry per chain complex or
 # Koszul piece constructed; the acceptance suite reads this to confirm the
@@ -243,7 +243,6 @@ class HomologyProfile:
         return HomologyProfile(ring, free, tors)
 
     def torsion_primes(self) -> tuple[int, ...]:
-        from .snf import prime_factors
         ps: set[int] = set()
         for ds in self.torsion.values():
             for d in ds:
@@ -341,7 +340,7 @@ def reduced_homology(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> Homolo
 
 def full_subcomplex_homology(K: SimplicialComplex, imask: int,
                              ring: CoefficientRing = ZZ) -> HomologyProfile:
-    return reduced_homology(full_subcomplex(K, verts(imask)), ring)
+    return reduced_homology(full_subcomplex(K, imask), ring)
 
 
 def is_acyclic(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
@@ -373,7 +372,7 @@ def dK(K: SimplicialComplex) -> int | None:
     """max over nonempty I of hodim(K_I); None when every K_I is acyclic."""
     best: int | None = None
     for imask in range(1, 1 << K.m):
-        h = hodim(full_subcomplex(K, verts(imask)))
+        h = hodim(full_subcomplex(K, imask))
         if h is not None and (best is None or h > best):
             best = h
     return best

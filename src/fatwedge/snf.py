@@ -2,19 +2,19 @@
 
 Two engines share this module.  ``smith_normal_form`` is a dense
 transform-carrying reduction used where kernel/cokernel bases are needed
-(homology generators over Z, Q and Z/p, induced maps, Tor products); entries
-are Python ints, so there is no overflow.  ``complex_rank_divisors`` is the
-one sparse eliminator, over Z and divisors-only, for the bulk homology
-computations, where boundary matrices are large but almost all pivots are
-units: unit pivots are eliminated and split off, and whatever remains is
-handed to the dense routine.  It keeps one set of live-cell flags, entry
-counts and transpose lists.  Zero-cost pivots (a unit alone in its column
-or row) come from a FIFO worklist, the coreduction cascade of Mrozek and
-Batko; they only delete entries, so they read the caller's columns in
-place.  When none is left, the surviving columns are copied and the
-cheapest unit by Markowitz cost comes off a heap and is eliminated with
-fill-in.  Field ranks are read off the divisors: over Q the rank is the
-number of divisors, over Z/p it is ``rank_mod_p``.
+(homology generators over Z, Q and Z/p, classes tested for zero, Tor
+products); entries are Python ints, so there is no overflow.
+``complex_rank_divisors`` is the one sparse eliminator, over Z and
+divisors-only, for the bulk homology computations, where boundary matrices
+are large but almost all pivots are units: unit pivots are eliminated and
+split off, and whatever remains is handed to the dense routine.  It keeps
+one set of live-cell flags, entry counts and transpose lists.  Zero-cost
+pivots (a unit alone in its column or row) come from a FIFO worklist, the
+coreduction cascade of Mrozek and Batko; they only delete entries, so they
+read the caller's columns in place.  When none is left, the surviving
+columns are copied and the cheapest unit by Markowitz cost comes off a heap
+and is eliminated with fill-in.  Field ranks are read off the divisors:
+over Q the rank is the number of divisors, over Z/p it is ``rank_mod_p``.
 ``sparse_rank_divisors`` runs it on one matrix.
 """
 
@@ -24,6 +24,7 @@ import heapq
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,9 @@ def smith_normal_form(matrix) -> SNFResult:
 
     Pivots on a smallest-magnitude nonzero entry and fully reduces its row and
     column before clearing, which keeps coefficient growth tame at desk scale.
-    The divisibility chain d_1 | d_2 | ... is repaired at the end.
+    A pivot p > 1 is kept only once it divides every entry of the block below
+    it, so the chain d_1 | d_2 | ... holds as the pivots are taken and the
+    rank is their number.
     """
     A = [list(map(int, row)) for row in matrix]
     nrows = len(A)
@@ -132,7 +135,10 @@ def smith_normal_form(matrix) -> SNFResult:
             col_swap(t, pj)
         if A[t][t] < 0:
             row_negate(t)
-        # reduce until the pivot divides its whole row and column
+        # reduce until the pivot divides its whole row and column and every
+        # entry of the block below it; a row of the block with an entry the
+        # pivot does not divide is added to row t, and the pivot shrinks to a
+        # gcd on the next round
         while True:
             p = A[t][t]
             dirty = False
@@ -156,45 +162,17 @@ def smith_normal_form(matrix) -> SNFResult:
                         col_swap(t, j)
                         dirty = True
                         break
+            if not dirty and p != 1:
+                for i in range(t + 1, nrows):
+                    if any(x % p for x in A[i][t + 1:]):
+                        row_add(t, i, 1)
+                        dirty = True
+                        break
             if not dirty:
                 break
         t += 1
 
-    # repair the divisibility chain: fold d_j into d_i whenever d_i does not
-    # divide d_j, using the classic 2x2 gcd trick
-    rank = sum(1 for k in range(n) if k < nrows and k < ncols and A[k][k] != 0)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a != 0:
-                changed = True
-                col_add(i, i + 1, 1)    # puts b into position (i+1, i)
-                # re-reduce the 2x2 block at (i, i)
-                while True:
-                    p = A[i][i]
-                    if A[i + 1][i] and A[i + 1][i] % p == 0:
-                        row_add(i + 1, i, -(A[i + 1][i] // p))
-                    elif A[i + 1][i]:
-                        q = A[i + 1][i] // p
-                        row_add(i + 1, i, -q)
-                        row_swap(i, i + 1)
-                        if A[i][i] < 0:
-                            row_negate(i)
-                        continue
-                    if A[i][i + 1] and A[i][i + 1] % A[i][i] == 0:
-                        col_add(i + 1, i, -(A[i][i + 1] // A[i][i]))
-                    elif A[i][i + 1]:
-                        q = A[i][i + 1] // A[i][i]
-                        col_add(i + 1, i, -q)
-                        col_swap(i, i + 1)
-                        continue
-                    break
-                if A[i + 1][i + 1] < 0:
-                    row_negate(i + 1)
-
-    divisors = tuple(A[k][k] for k in range(rank))
+    divisors = tuple(A[k][k] for k in range(t))
     return SNFResult(
         shape=(nrows, ncols),
         divisors=divisors,
@@ -450,70 +428,35 @@ def sparse_rank_divisors(columns, nrows: int):
 
 
 def invariant_factors(divisors) -> tuple[int, ...]:
-    """Canonical invariant-factor chain of a multiset of cyclic orders > 1.
+    """Canonical invariant-factor chain d_1 | d_2 | ... of the direct sum of
+    Z/d over a multiset of cyclic orders; orders <= 1 are dropped.
 
-    Splits each order into prime powers and re-assembles d_1 | d_2 | ...;
-    used when direct sums of torsion groups must be compared structurally.
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), taken pairwise in order: after
+    position i has met every later one it divides all of them.  Used when
+    direct sums of torsion groups must be compared structurally.
     """
-    powers: dict[int, list[int]] = {}
-    for d in divisors:
-        d = int(d)
-        if d <= 1:
-            continue
-        for q in _prime_power_factors(d):
-            pr = _prime_root(q)
-            powers.setdefault(pr, []).append(q)
-    if not powers:
-        return ()
-    for pr in powers:
-        powers[pr].sort(reverse=True)
-    depth = max(len(v) for v in powers.values())
-    chain = []
-    for k in range(depth):
-        d = 1
-        for pr, qs in powers.items():
-            if k < len(qs):
-                d *= qs[k]
-        chain.append(d)
-    return tuple(reversed(chain))
+    ds = [d for d in map(int, divisors) if d > 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return tuple(d for d in ds if d > 1)
 
 
-def _prime_power_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending; () for n < 2."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            q = 1
+            out.append(d)
             while n % d == 0:
-                q *= d
                 n //= d
-            out.append(q)
         d += 1
     if n > 1:
         out.append(n)
-    return out
-
-
-def _prime_root(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(_prime_root(q) for q in _prime_power_factors(n))
+    return tuple(out)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
+    return n >= 2 and prime_factors(n) == (n,)

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (SimplicialComplex, full_subcomplex,
-                        full_subcomplex_split, join, run, shared, verts)
+from .complexes import (SimplicialComplex, full_subcomplex, join, run, shared,
+                        verts)
 from .homology import (DD_ZERO_CHECKS, ChainComplex, CoefficientRing, ZZ,
                        HomologyBasis, chain_homology, full_subcomplex_homology,
                        is_zero_on_homology, reduced_homology)
@@ -290,7 +290,7 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
 
     Works over Z as well as fields; degrees with trivial source or target
     homology are skipped (the map is zero there for free).  K_{I u J} is
-    labelled with I below J (``full_subcomplex_split``), which makes it a
+    labelled with I below J (``full_subcomplex(K, I, J)``), which makes it a
     subcomplex of K_I * K_J cell for cell, so each source generator is tested
     in the join unchanged.  A pair where K_I or K_J is a cone v * L is
     skipped before the join is built: (v * L) * M = v * (L * M) is a cone,
@@ -318,13 +318,13 @@ def _join_pair_zero(K, imask: int, jmask: int, ring) -> int | None:
     src_prof = full_subcomplex_homology(K, imask | jmask, ring)
     if src_prof.is_trivial():
         return None
-    KI = full_subcomplex(K, verts(imask))
-    KJ = full_subcomplex(K, verts(jmask))
+    KI = full_subcomplex(K, imask)
+    KJ = full_subcomplex(K, jmask)
     if _is_cone(KI) or _is_cone(KJ):
         return None
     B = join(KI, KJ)
     tgt_prof = reduced_homology(B, ring)
-    A = full_subcomplex_split(K, imask, jmask)
+    A = full_subcomplex(K, imask, jmask)
     for q in src_prof.nonzero_degrees():
         if tgt_prof.betti(q) == 0 and not tgt_prof.torsion_at(q):
             continue

@@ -127,6 +127,36 @@ def naive_snf_divisors(matrix) -> tuple[int, ...]:
     return tuple(diag)
 
 
+def reference_invariant_factors(divisors) -> tuple[int, ...]:
+    """Invariant factors by prime powers: split each order > 1 into prime
+    powers, sort each prime's powers, and multiply the k-th largest powers
+    of every prime into the k-th largest factor."""
+    powers: dict[int, list[int]] = {}
+    for d in divisors:
+        n = int(d)
+        p = 2
+        while n > 1:
+            if p * p > n:
+                p = n
+            if n % p == 0:
+                q = 1
+                while n % p == 0:
+                    q *= p
+                    n //= p
+                powers.setdefault(p, []).append(q)
+            p += 1
+    depth = max((len(qs) for qs in powers.values()), default=0)
+    chain = []
+    for k in range(depth):
+        d = 1
+        for qs in powers.values():
+            qs.sort(reverse=True)
+            if k < len(qs):
+                d *= qs[k]
+        chain.append(d)
+    return tuple(reversed(chain))
+
+
 def naive_rank_mod_p(matrix, p: int) -> int:
     """Rank over Z/p by plain dense Gaussian elimination on the rows."""
     A = [[x % p for x in row] for row in matrix]
@@ -483,11 +513,11 @@ def reference_golod_via_join(K: SimplicialComplex,
 
 def _reference_join_pair(K, imask: int, jmask: int, ring) -> int | None:
     """First degree where K_{I u J} -> K_I * K_J is nonzero, else None."""
-    A = full_subcomplex(K, verts(imask | jmask))
+    A = full_subcomplex(K, imask | jmask)
     src = reduced_homology(A, ring)
     if src.is_trivial():
         return None
-    B = join(full_subcomplex(K, verts(imask)), full_subcomplex(K, verts(jmask)))
+    B = join(full_subcomplex(K, imask), full_subcomplex(K, jmask))
     # position of each vertex of I u J -> its label in K_I * K_J
     rank_i = {v: k for k, v in enumerate(verts(imask), start=1)}
     rank_j = {v: imask.bit_count() + k
@@ -512,8 +542,7 @@ def _reference_join_pair(K, imask: int, jmask: int, ring) -> int | None:
 
 def deletion(K: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
     """dl_K(sigma) = K restricted to [m] - sigma (re-indexed onto 1..m-|sigma|)."""
-    smask = mask_of(sigma)
-    rest = verts(((1 << K.m) - 1) ^ smask)
+    rest = ((1 << K.m) - 1) & ~mask_of(sigma)
     if not rest:
         raise ValueError("deletion of the whole ground set")
     return full_subcomplex(K, rest)

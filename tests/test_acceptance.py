@@ -12,7 +12,7 @@ import time
 from fatwedge.certify import (SpacePoincare, bbcg_summands, certify_fwf_trivial,
                               golod_report)
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex, is_chordal,
-                                full_subcomplex, make_complex, run)
+                                full_subcomplex, make_complex, mask_of, run)
 from fatwedge.corpus import corpus_names, load
 from fatwedge.criteria import (collapse_search, fill_search,
                                filling_from_dual_shelling, is_dual_scm,
@@ -151,7 +151,7 @@ def test_criterion_08_rp2_worked_example():
     subsets = list(S) + [I for size in (4, 5)
                          for I in itertools.combinations(range(1, 7), size)]
     for I in subsets:
-        p = reduced_homology(full_subcomplex(K, I), ZZ)
+        p = reduced_homology(full_subcomplex(K, mask_of(I)), ZZ)
         assert p.free == {1: 1} and not p.torsion, I
     cert = certify_fwf_trivial(K)
     assert cert.verdict == "trivial" and cert.rule == "NEIGHBORLY_DK"
@@ -174,7 +174,7 @@ def test_criterion_09_berglund_worked_example():
     K = load("berglund_10").complex()
     assert is_acyclic(K, ZZ)
     for I in itertools.combinations(range(1, 11), 8):
-        p = reduced_homology(full_subcomplex(K, I), ZZ)
+        p = reduced_homology(full_subcomplex(K, mask_of(I)), ZZ)
         assert p.is_trivial() or (p.free == {4: 1} and not p.torsion), I
     assert dK(K) == 4
     from fatwedge.complexes import is_k_neighborly

@@ -308,7 +308,7 @@ class TestRunScopedStore:
 
         def answers(K):
             return (reduced_homology(K, ZZ),
-                    [full_subcomplex(K, verts(i)) for i in range(1, 1 << K.m)],
+                    [full_subcomplex(K, i) for i in range(1, 1 << K.m)],
                     is_homology_fillable(K), hochster_identity_check(K, ZZ),
                     golod_report(K).to_json(),
                     certify_fwf_trivial(K, budget=2000).to_json())

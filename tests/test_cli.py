@@ -163,6 +163,13 @@ class TestCommands:
         code, out = run(capsys, "fill", "boundary_d3")
         assert code == 0 and out["filling"] == [[1, 2, 3]]
 
+    def test_fill_exhausted_reports_budget_plus_one(self, capsys):
+        # the empty filling takes the one node; the collapse search of the
+        # path then overruns, and neither its dual search nor the next
+        # filling is charged
+        code, out = run(capsys, "fill", "path4", "--budget-nodes", "1")
+        assert code == 3 and out["status"] == "exhausted" and out["nodes"] == 2
+
     def test_shell(self, capsys):
         code, out = run(capsys, "shell", "two_disjoint_edges")
         assert code == 1 and out["status"] == "none"

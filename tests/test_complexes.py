@@ -60,21 +60,21 @@ class TestMakeComplex:
 
 class TestFullSubcomplex:
     def test_nonface_pair_gives_two_points(self):
-        sub = full_subcomplex(C4, [1, 3])
+        sub = full_subcomplex(C4, mask_of([1, 3]))
         assert facet_tuples(sub) == [(1,), (2,)]
 
     def test_edge(self):
-        assert facet_tuples(full_subcomplex(C4, [1, 2])) == [(1, 2)]
+        assert facet_tuples(full_subcomplex(C4, mask_of([1, 2]))) == [(1, 2)]
 
     def test_whole_ground_set_is_identity(self):
-        assert full_subcomplex(C4, [1, 2, 3, 4]) == C4
+        assert full_subcomplex(C4, mask_of([1, 2, 3, 4])) == C4
 
     def test_brute_force_filter(self):
         rng = random.Random(0)
         for _ in range(25):
             K = random_complex(rng, max_m=5)
             I = sorted(rng.sample(range(1, K.m + 1), rng.randint(1, K.m)))
-            sub = full_subcomplex(K, I)
+            sub = full_subcomplex(K, mask_of(I))
             relabel = {v: i + 1 for i, v in enumerate(I)}
             want = {tuple(relabel[v] for v in f)
                     for f in brute_force_faces(K) if set(f) <= set(I)}
@@ -83,18 +83,18 @@ class TestFullSubcomplex:
 
 class TestLinkDeletionStar:
     def test_link_of_vertex_in_triangle_boundary(self):
-        assert facet_tuples(link(boundary_of_simplex(3), [1])) == [(1,), (2,)]
+        assert facet_tuples(link(boundary_of_simplex(3), mask_of([1]))) == [(1,), (2,)]
 
     def test_link_outside_raises(self):
         with pytest.raises(ValueError):
-            link(C4, [1, 3])
+            link(C4, mask_of([1, 3]))
 
     def test_deletion_of_cycle_vertex_is_path(self):
         assert facet_tuples(deletion(C4, [1])) == [(1, 2), (2, 3)]
 
     def test_berglund_link_is_cone(self):
         B = berglund_complex()
-        lk = link(B, [7, 8, 9, 10])
+        lk = link(B, mask_of([7, 8, 9, 10]))
         assert lk.m == 6
         assert [verts(M) for M in minimal_nonfaces(lk)] == \
             [(2, 3), (3, 4), (4, 5), (6,)]
@@ -211,7 +211,7 @@ class TestAlexanderDual:
             return
         for v in verts(dual.support):
             lhs = alexander_dual(deletion(K, [v]), K.m - 1)
-            rhs = link(dual, [v])
+            rhs = link(dual, mask_of([v]))
             assert lhs == rhs
 
 
@@ -330,6 +330,7 @@ class TestRunScopedStore:
     def test_equal_complexes_share_one_full_subcomplex(self):
         K = berglund_complex()
         twin = SimplicialComplex(K.m, K.facets)
+        I = mask_of((1, 2, 5))
         with run():
-            assert full_subcomplex(twin, (1, 2, 5)) is full_subcomplex(K, (1, 2, 5))
-        assert full_subcomplex(K, (1, 2, 5)) == full_subcomplex(twin, (1, 2, 5))
+            assert full_subcomplex(twin, I) is full_subcomplex(K, I)
+        assert full_subcomplex(K, I) == full_subcomplex(twin, I)

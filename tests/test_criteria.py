@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
                                 make_complex, run, simplex,
                                 skeleton_of_simplex, verts)
-from fatwedge.corpus import berglund_complex
+from fatwedge.corpus import berglund_complex, corpus_names, load
 from fatwedge.criteria import (_face_set, _free_pairs, _shelling_ok,
                                collapse_search, fill_search,
                                filling_from_dual_shelling,
@@ -247,6 +247,17 @@ class TestFill:
     def test_full_simplex_trivially_filled(self):
         res = fill_search(simplex(3))
         assert res.found and res.certificate.nonfaces == ()
+
+    def test_exhausted_search_reports_budget_plus_one(self):
+        # an overrun collapse search ends the whole search: the dual search
+        # after it and the next filling of the same size charge nothing
+        for name in corpus_names():
+            K = load(name).complex()
+            for budget in range(40):
+                res = fill_search(K, budget=budget)
+                assert res.nodes <= budget + 1, (name, budget, res)
+                if res.status == "exhausted":
+                    assert res.nodes == budget + 1, (name, budget, res)
 
 
 class TestHomologyFillable:

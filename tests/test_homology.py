@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
-                                empty_complex, full_subcomplex,
-                                full_subcomplex_split, join, make_complex,
-                                mask_of, run, simplex, verts)
+                                empty_complex, full_subcomplex, join,
+                                make_complex, mask_of, run, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
 from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis,
@@ -266,8 +265,8 @@ class TestSplitFullSubcomplex:
             side[rng.randrange(K.m)] = 0
             I = [v for v in range(1, K.m + 1) if side[v - 1] == 0]
             J = [v for v in range(1, K.m + 1) if side[v - 1] == 1]
-            S = full_subcomplex_split(K, mask_of(I), mask_of(J))
-            union = full_subcomplex(K, sorted(I + J))
+            S = full_subcomplex(K, mask_of(I), mask_of(J))
+            union = full_subcomplex(K, mask_of(I + J))
             label = {v: n for n, v in enumerate(I + J, start=1)}
             want = {mask_of(label[v] for v in verts(f))
                     for f in range(1 << K.m)
@@ -276,15 +275,18 @@ class TestSplitFullSubcomplex:
             assert S.f_vector() == union.f_vector()
             assert reduced_homology(S, ZZ) == reduced_homology(union, ZZ)
             if J:
-                B = join(full_subcomplex(K, I), full_subcomplex(K, J))
+                B = join(full_subcomplex(K, mask_of(I)),
+                         full_subcomplex(K, mask_of(J)))
                 assert all(B.has_face(f) for f in S.facets), (K, I, J)
             else:
-                assert S == full_subcomplex(K, I)
+                assert S == full_subcomplex(K, mask_of(I))
 
-    def test_overlapping_or_empty_sets_rejected(self):
-        for imask, jmask in ((0b011, 0b110), (0, 0), (0b10000, 0)):
+    def test_overlapping_or_out_of_range_sets_rejected(self):
+        for imask, jmask in ((0b011, 0b110), (0b10000, 0), (0, 0b10000)):
             with pytest.raises(ValueError):
-                full_subcomplex_split(C4.skeleton(0), imask, jmask)
+                full_subcomplex(C4.skeleton(0), imask, jmask)
+        # both empty is the degenerate K_{} = {()} on [1]
+        assert full_subcomplex(C4, 0, 0) == empty_complex(1)
 
 
 class TestHomologyBases:
@@ -364,5 +366,5 @@ class TestNeighborlyAcyclicity:
         if k < 1:
             return
         for imask in range(1, 1 << K.m):
-            sub = full_subcomplex(K, verts(imask))
+            sub = full_subcomplex(K, imask)
             assert is_i_acyclic(sub, ZZ, k - 1)

@@ -117,7 +117,7 @@ class TestFiltration:
             for I in combinations(range(1, K.m + 1), i):
                 imask = mask_of(I)
                 rest = ((1 << K.m) - 1) ^ imask
-                sub = full_subcomplex(K, I)
+                sub = full_subcomplex(K, imask)
                 lift = sorted(I)
                 for cells in build_rmac(sub).faces.values():
                     for c in cells:

@@ -10,11 +10,13 @@ from fatwedge import snf
 from fatwedge.complexes import make_complex, skeleton_of_simplex
 from fatwedge.homology import ChainComplex, build_simplicial_chain_complex
 from fatwedge.rmac import build_rmac, cubical_chain_complex
-from fatwedge.snf import (complex_rank_divisors, invariant_factors,
-                          rank_mod_p, smith_normal_form, sparse_rank_divisors)
+from fatwedge.snf import (complex_rank_divisors, invariant_factors, is_prime,
+                          prime_factors, rank_mod_p, smith_normal_form,
+                          sparse_rank_divisors)
 
 from helpers import (minor_gcd_divisors, naive_rank_mod_p, naive_snf_divisors,
-                     random_complex, random_matrix)
+                     random_complex, random_matrix,
+                     reference_invariant_factors)
 
 
 def matmul(a, b):
@@ -34,23 +36,42 @@ def test_identity_and_zero():
     assert res.rank == 0
 
 
+def _assert_transforms(A, res):
+    n, m = res.shape
+    # U A V is the diagonal form
+    uav = matmul(matmul([list(r) for r in res.U], A), [list(r) for r in res.V])
+    for i in range(n):
+        for j in range(m):
+            want = res.divisors[i] if i == j and i < res.rank else 0
+            assert uav[i][j] == want
+    # inverses really invert
+    eye_n = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    eye_m = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    assert matmul([list(r) for r in res.U], [list(r) for r in res.u_inv]) == eye_n
+    assert matmul([list(r) for r in res.V], [list(r) for r in res.v_inv]) == eye_m
+
+
 def test_transforms_are_unimodular_and_exact():
     rng = random.Random(5)
     for _ in range(50):
         A = random_matrix(rng, max_n=6)
-        res = smith_normal_form(A)
-        n, m = res.shape
-        # U A V is the diagonal form
-        uav = matmul(matmul([list(r) for r in res.U], A), [list(r) for r in res.V])
-        for i in range(n):
-            for j in range(m):
-                want = res.divisors[i] if i == j and i < res.rank else 0
-                assert uav[i][j] == want
-        # inverses really invert
-        eye_n = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        eye_m = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        assert matmul([list(r) for r in res.U], [list(r) for r in res.u_inv]) == eye_n
-        assert matmul([list(r) for r in res.V], [list(r) for r in res.v_inv]) == eye_m
+        _assert_transforms(A, smith_normal_form(A))
+
+
+@pytest.mark.parametrize("A, divisors", [
+    # the pivot 2 clears its row and column at once but does not divide 3,
+    # so row 2 is added to row 1 and the pivot shrinks to gcd(2, 3)
+    ([[2, 0], [0, 3]], (1, 6)),
+    # 2 divides the block below it: nothing to fold
+    ([[2, 0], [0, 4]], (2, 4)),
+    # non-unit diagonal entries that are pairwise coprime
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+    ([[5, 0, 0], [0, 3, 0], [0, 0, 2]], (1, 1, 30)),
+])
+def test_divisibility_kept_while_pivoting(A, divisors):
+    res = smith_normal_form(A)
+    assert res.divisors == divisors == naive_snf_divisors(A)
+    _assert_transforms(A, res)
 
 
 def test_divisibility_chain():
@@ -281,6 +302,30 @@ def test_invariant_factors_normalization():
     assert invariant_factors([6, 4]) == (2, 12)
     assert invariant_factors([1, 1, 5]) == (5,)
     assert invariant_factors([]) == ()
+
+
+def test_invariant_factors_match_the_prime_power_reference():
+    # orders from small primes and their powers, with 0 and 1 (dropped) and
+    # repeats, so several orders share each prime
+    rng = random.Random(1412)
+    pool = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 25, 27, 30, 49, 60]
+    for _ in range(2000):
+        ds = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        assert invariant_factors(ds) == reference_invariant_factors(ds), ds
+
+
+def test_prime_factors_and_is_prime_by_sieve():
+    n = 2000
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, n):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    primes = [p for p in range(n) if sieve[p]]
+    for k in range(-3, n):
+        assert is_prime(k) == (k >= 0 and bool(sieve[k])), k
+        assert prime_factors(k) == tuple(p for p in primes
+                                         if k > 1 and k % p == 0), k
 
 
 def test_mod_p_rank():
