@@ -6,6 +6,11 @@ carries machine-checkable evidence.  "nontrivial" is only ever concluded from
 a Golodness obstruction (the decomposition forces all Tor products to vanish,
 so a nonzero product is a genuine obstruction); failed searches alone yield
 "unknown", because every implemented condition is sufficient, not necessary.
+On a complex without ghost elements the Golod report is built before any
+rule: a non-Golod report settles "nontrivial" at once, since no sufficient
+rule can fire there.  The report is built once per call, and it checks the
+soundness of every rule that fires on such a complex.  With all_rules the
+rules run first, so a rule that fires on a non-Golod complex raises there.
 A rule may skip work that another fact makes futile: the exponential dual
 shelling search is tried only on a dual that is sequentially Cohen-Macaulay
 over Z, which every shellable complex is.
@@ -223,10 +228,23 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     AMS 348 (1996)).  The SCM answer is computed once per run and read by
     both dual rules, so the gate changes no verdict and no rule.
 
-    A "trivial" verdict on a complex without ghost elements is always
-    sanity-checked against the Golod report (the decomposition implies
-    Golodness).
+    On a complex without ghost elements the Golod report comes first: a
+    trivial filtration forces Golodness, so a non-Golod report settles
+    "nontrivial" before any rule runs, and no sufficient rule could fire
+    there.  Wherever a rule does fire on such a complex, the verdict is
+    sanity-checked against that same report (the decomposition implies
+    Golodness).  With all_rules=True, or with a ghost element, the rules run
+    first; under all_rules the check runs on every ghost-free complex where a
+    rule fires, so a rule firing on a non-Golod complex raises.
     """
+    # triviality implies Golodness only when every element of [m] is a
+    # vertex; ghost elements carry degree -1 classes invisible to the
+    # (vacuously null) attaching maps
+    ghost_free = K.support == (1 << K.m) - 1
+    if ghost_free and not all_rules:
+        report = _golod_report(K)
+        if not report.golod:
+            return _non_golod(report, ())
     fired_rule = None
     fired_evidence = None
     rules_run = []
@@ -240,24 +258,30 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
             fired_evidence = ev
     recorded = tuple(rules_run) if all_rules else ()
     if fired_rule is not None:
-        # triviality implies Golodness only when every element of [m] is a
-        # vertex; ghost elements carry degree -1 classes invisible to the
-        # (vacuously null) attaching maps
-        ghost_free = K.support == (1 << K.m) - 1
-        report = golod_report(K) if ghost_free else None
+        report = _golod_report(K) if ghost_free else None
         if report is not None and not report.golod:
             raise AssertionError(
                 f"soundness violation: rule {fired_rule} fired on a "
                 f"non-Golod complex ({report.witness_text})")
         return TrivialityCertificate("trivial", fired_rule, fired_evidence,
                                      golod=report, rules_run=recorded)
-    report = golod_report(K)
+    report = _golod_report(K)
     if not report.golod:
-        return TrivialityCertificate(
-            "nontrivial", RULE_NON_GOLOD,
-            {"witness": report.witness_text}, golod=report, rules_run=recorded)
+        return _non_golod(report, recorded)
     return TrivialityCertificate("unknown", None, {}, golod=report,
                                  rules_run=recorded)
+
+
+def _golod_report(K: SimplicialComplex) -> GolodReport:
+    """golod_report(K), built once per run and read by every later step."""
+    return shared(("golod_report", K), lambda: golod_report(K))
+
+
+def _non_golod(report: GolodReport,
+               recorded: tuple[tuple[str, str], ...]) -> TrivialityCertificate:
+    return TrivialityCertificate(
+        "nontrivial", RULE_NON_GOLOD, {"witness": report.witness_text},
+        golod=report, rules_run=recorded)
 
 
 # -- wedge decomposition reports ------------------------------------------------

@@ -482,16 +482,20 @@ class HomologyBasis:
 
 def is_zero_on_homology(A: SimplicialComplex, B: SimplicialComplex,
                         ring: CoefficientRing,
-                        degrees: Iterable[int] | None = None) -> bool:
+                        degrees: Iterable[int] | None = None,
+                        b_chains: ChainComplex | None = None) -> bool:
     """True iff the inclusion of A in B vanishes on H~_q for every (given) q.
 
     A must be a subcomplex of B cell for cell, same vertex labels; each
     generator of H~_q(A) is carried into B's chains unchanged and tested
     there.  A cell of a pushed cycle that B lacks raises ValueError.
+    b_chains, when given, is B's simplicial chain complex, held by the caller
+    instead of the run's store.
     """
     if degrees is None:
         degrees = range(-1, A.dim + 1)
-    ccA, ccB = simplicial_chain_complex(A), simplicial_chain_complex(B)
+    ccA = simplicial_chain_complex(A)
+    ccB = b_chains if b_chains is not None else simplicial_chain_complex(B)
     src = chain_homology(ccA, ring)
     for q in degrees:
         if src.betti(q) == 0 and not src.torsion_at(q):

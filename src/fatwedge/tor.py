@@ -17,8 +17,13 @@ Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
 of every inclusion of a full subcomplex into the join of two complementary
 pieces.  They compute the same pairing through entirely different chain data.
-The join oracle skips a pair with a cone factor, whose join is a cone and
-so contractible; it decides that from facets alone.
+The join oracle walks only pairs where K_I, K_J and K_{I u J} all carry
+homology (which leaves out every cone factor), and builds a join only for a
+source degree where the Kunneth formula gives the join nonzero homology
+there; it checks each join it builds against that prediction and keeps none
+in the run's store.  The gate reads the full-subcomplex homology, as the Tor
+oracle does; the cubical side of the Hochster identity checks that homology
+independently.
 The Tor oracle takes the cohomology dimensions of the pieces from Hochster's
 formula and builds only the pieces its products touch, checking each basis it
 builds against those dimensions; the Hochster check (tor_dimensions) builds
@@ -28,12 +33,14 @@ every piece, so its Koszul side never reads simplicial chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .complexes import (SimplicialComplex, full_subcomplex, join, run, shared,
                         verts)
 from .homology import (DD_ZERO_CHECKS, ChainComplex, CoefficientRing, ZZ,
-                       HomologyBasis, chain_homology, full_subcomplex_homology,
-                       is_zero_on_homology, reduced_homology)
+                       HomologyBasis, HomologyProfile,
+                       build_simplicial_chain_complex, chain_homology,
+                       full_subcomplex_homology, is_zero_on_homology)
 
 
 def _merge_sign(mask_a: int, mask_b: int) -> int:
@@ -288,24 +295,42 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
     """Golodness oracle via joins: for every pair of disjoint nonempty
     I, J the inclusion K_{I u J} -> K_I * K_J must vanish in homology.
 
-    Works over Z as well as fields; degrees with trivial source or target
-    homology are skipped (the map is zero there for free).  K_{I u J} is
-    labelled with I below J (``full_subcomplex(K, I, J)``), which makes it a
-    subcomplex of K_I * K_J cell for cell, so each source generator is tested
-    in the join unchanged.  A pair where K_I or K_J is a cone v * L is
-    skipped before the join is built: (v * L) * M = v * (L * M) is a cone,
-    hence contractible.  That test reads only facets, so the oracle takes no
-    chain data from the Tor oracle.
+    Works over Z as well as fields.  Each full-subcomplex profile is read
+    once, and only pairs where K_I, K_J and K_{I u J} all carry homology are
+    walked, in the order of all pairs, so the first witness is the same: an
+    acyclic factor makes the join acyclic (a cone factor among them).  In a
+    walked pair a source degree is tested only where the Kunneth formula
+    (``kunneth_join``) says H~_q(K_I * K_J) is nonzero; elsewhere the map
+    vanishes for free.  The join is built only for a pair with such a degree,
+    from chains the oracle owns and drops after the pair, and its homology
+    must equal the Kunneth prediction.  The gate reads H~(K_I), as the Tor
+    oracle does; the cubical side of the Hochster identity checks that
+    homology independently.  K_{I u J} is labelled with I below J
+    (``full_subcomplex(K, I, J)``), which makes it a subcomplex of
+    K_I * K_J cell for cell, so each source generator is tested in the join
+    unchanged.
     """
-    m = K.m
-    subsets = sorted(range(1, 1 << m), key=verts)
-    for ai, imask in enumerate(subsets):
-        for jmask in subsets[ai + 1:]:
+    profiles = {}
+    degrees = {}
+    for imask in range(1, 1 << K.m):
+        prof = full_subcomplex_homology(K, imask, ring)
+        if not prof.is_trivial():
+            profiles[imask] = prof
+            degrees[imask] = prof.nonzero_degrees()
+    hot = sorted(profiles, key=verts)
+    for ai, imask in enumerate(hot):
+        a = degrees[imask]
+        for jmask in hot[ai + 1:]:
             if imask & jmask:
                 continue
-            res = _join_pair_zero(K, imask, jmask, ring)
-            if res is not None:
-                q = res
+            src = degrees.get(imask | jmask)
+            b = degrees[jmask]
+            # the Kunneth target lives in degrees a0 + b0 + 1 .. a1 + b1 + 2
+            if src is None or src[-1] <= a[0] + b[0] or \
+                    src[0] > a[-1] + b[-1] + 2:
+                continue
+            q = _join_pair_nonzero(K, imask, jmask, profiles, ring)
+            if q is not None:
                 w = (verts(imask), verts(jmask), q)
                 txt = (f"inclusion of K_I(union)J into K_I * K_J is nonzero on "
                        f"H~_{q} for I={verts(imask)}, J={verts(jmask)}")
@@ -313,33 +338,50 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
     return GolodVerdict(True, ring, "join")
 
 
-def _join_pair_zero(K, imask: int, jmask: int, ring) -> int | None:
+def _join_pair_nonzero(K, imask: int, jmask: int, profiles,
+                       ring) -> int | None:
     """First degree where the join inclusion is nonzero, else None."""
-    src_prof = full_subcomplex_homology(K, imask | jmask, ring)
-    if src_prof.is_trivial():
+    target = kunneth_join(profiles[imask], profiles[jmask])
+    degrees = [q for q in profiles[imask | jmask].nonzero_degrees()
+               if target.betti(q) or target.torsion_at(q)]
+    if not degrees:
         return None
-    KI = full_subcomplex(K, imask)
-    KJ = full_subcomplex(K, jmask)
-    if _is_cone(KI) or _is_cone(KJ):
-        return None
-    B = join(KI, KJ)
-    tgt_prof = reduced_homology(B, ring)
+    B = join(full_subcomplex(K, imask), full_subcomplex(K, jmask))
+    chains = build_simplicial_chain_complex(B)
+    built = chain_homology(chains, ring)
+    if built != target:
+        raise AssertionError(f"join for I={verts(imask)}, J={verts(jmask)} "
+                             f"has {built}, Kunneth gives {target}")
     A = full_subcomplex(K, imask, jmask)
-    for q in src_prof.nonzero_degrees():
-        if tgt_prof.betti(q) == 0 and not tgt_prof.torsion_at(q):
-            continue
-        if not is_zero_on_homology(A, B, ring, degrees=(q,)):
+    for q in degrees:
+        if not is_zero_on_homology(A, B, ring, degrees=(q,), b_chains=chains):
             return q
     return None
 
 
-def _is_cone(L: SimplicialComplex) -> bool:
-    """Whether some vertex lies in every facet of L.  A cone is contractible,
-    and so is its join with any complex."""
-    apex = L.facets[0]
-    for f in L.facets[1:]:
-        apex &= f
-    return apex != 0
+def kunneth_join(a: HomologyProfile, b: HomologyProfile) -> HomologyProfile:
+    """Reduced homology of a join A * B from that of its factors:
+    H~_q(A * B) = sum over i + j = q - 1 of H~_i(A) (x) H~_j(B), plus sum
+    over i + j = q - 2 of Tor(H~_i(A), H~_j(B)).  {()} has H~_{-1} = Z, so
+    {()} * B = B.  Over a field the torsion is empty and only the tensor
+    terms remain.
+    """
+    free: dict[int, int] = {}
+    tors: dict[int, list[int]] = {}
+    for i in a.nonzero_degrees():
+        fa, ta = a.betti(i), a.torsion_at(i)
+        for j in b.nonzero_degrees():
+            fb, tb = b.betti(j), b.torsion_at(j)
+            q = i + j + 1
+            free[q] = free.get(q, 0) + fa * fb
+            # Z (x) Z/e = Z/e, Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e)
+            t = tors.setdefault(q, [])
+            t.extend(ta * fb)
+            t.extend(tb * fa)
+            cross = [gcd(d, e) for d in ta for e in tb]
+            t.extend(cross)
+            tors.setdefault(q + 1, []).extend(cross)
+    return HomologyProfile(a.ring, free, tors)
 
 
 def torsion_primes(K: SimplicialComplex) -> tuple[int, ...]:

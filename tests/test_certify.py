@@ -28,6 +28,10 @@ C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 PATH = make_complex(4, [[1, 2], [2, 3], [3, 4]])
 RP2 = make_complex(6, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5], [2, 5, 6],
                        [2, 3, 6], [1, 3, 6], [1, 4, 6], [1, 2, 4], [4, 5, 6]])
+#: m = 6; every rule declines and the complex is Golod, so the verdict is
+#: "unknown"
+UNKNOWN = make_complex(6, [[1, 2, 4, 6], [1, 3, 4, 5], [1, 5, 6], [2, 4, 5],
+                           [2, 5, 6], [3, 5, 6]])
 
 
 class TestCertify:
@@ -65,11 +69,12 @@ class TestCertify:
         assert cert.golod is not None and cert.golod.golod
 
     def test_soundness_violation_raises(self, monkeypatch):
-        # a rule that fires on a complex the Golod report calls non-Golod
+        # a rule that fires on a complex the Golod report calls non-Golod;
+        # only all_rules runs a rule on a ghost-free non-Golod complex
         monkeypatch.setattr(certify, "golod_report", lambda K: SimpleNamespace(
             golod=False, witness_text="planted"))
         with pytest.raises(AssertionError, match="rule FLAG_CHORDAL .*planted"):
-            certify_fwf_trivial(PATH)
+            certify_fwf_trivial(PATH, all_rules=True)
 
     def test_ghost_element_attaches_no_report(self, monkeypatch):
         # a ghost carries a degree -1 class the attaching maps cannot see,
@@ -79,6 +84,51 @@ class TestCertify:
         cert = certify_fwf_trivial(with_ground(PATH, 5))
         assert cert.verdict == "trivial" and cert.golod is None
         assert reports == []
+
+    def test_non_golod_complex_runs_no_rule(self, monkeypatch):
+        def refuse(K, budget):
+            raise AssertionError("a rule ran")
+
+        monkeypatch.setattr(certify, "_RULES",
+                            tuple((name, refuse) for name, _ in certify._RULES))
+        cert = certify_fwf_trivial(load("c4").complex())
+        assert cert.verdict == "nontrivial" and cert.rule == RULE_NON_GOLOD
+        assert cert.rules_run == ()
+
+    def test_golod_report_built_once_per_call(self, monkeypatch):
+        built = []
+        real = certify.golod_report
+
+        def counted(K):
+            built.append(K)
+            return real(K)
+
+        monkeypatch.setattr(certify, "golod_report", counted)
+        for K, verdict in ((PATH, "trivial"), (load("c4").complex(), "nontrivial"),
+                           (UNKNOWN, "unknown")):
+            built.clear()
+            cert = certify_fwf_trivial(K)
+            assert cert.verdict == verdict and built == [K]
+            assert cert.golod is not None
+
+    def test_default_order_matches_all_rules(self):
+        # seeded complexes, every third with a ghost element, and the
+        # corpus: the report-first default gives the same certificate as
+        # running every rule first, whose soundness check then runs on every
+        # ghost-free non-Golod complex here
+        rng = random.Random(1601)
+        cases = []
+        for k in range(300):
+            K = random_complex(rng, max_m=6)
+            cases.append(with_ground(K, K.m + 1) if k % 3 == 0 else K)
+        cases += [load(name).complex() for name in corpus_names()]
+        verdicts = set()
+        for K in cases:
+            want = certify_fwf_trivial(K, all_rules=True).to_json()
+            del want["rules_run"]
+            assert certify_fwf_trivial(K).to_json() == want, K
+            verdicts.add(want["verdict"])
+        assert verdicts == {"trivial", "nontrivial"}
 
     def test_all_rules_mode_monotone(self):
         # whenever the dual-shellable rule fires, the weaker rules 6-8 fire

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatwedge.complexes import (boundary_of_simplex, cone, empty_complex,
-                                join, make_complex, run, simplex)
+from fatwedge.complexes import (_STORE, boundary_of_simplex, cone,
+                                empty_complex, join, make_complex, run,
+                                simplex)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge.certify import golod_report
 from fatwedge import tor
@@ -226,21 +229,14 @@ class TestGolodOracles:
 
 class TestConeFactors:
     def test_cones_and_their_joins_are_acyclic(self):
+        # so the join oracle's walk over pairs of factors with homology
+        # leaves out every pair with a cone factor
         rng = random.Random(31)
         for _ in range(40):
             L = cone(random_complex(rng, max_m=4))
             M = random_complex(rng, max_m=3)
-            assert tor._is_cone(L)
             for X in (L, join(L, M), join(M, L)):
                 assert reduced_homology(X, ZZ).is_trivial(), X
-
-    def test_non_cones(self):
-        for K in (C4, PATH, RP2, boundary_of_simplex(3), empty_complex(2),
-                  make_complex(2, [[1], [2]])):
-            assert not tor._is_cone(K)
-        # two edges at vertex 2, and a point
-        assert tor._is_cone(make_complex(3, [[1, 2], [2, 3]]))
-        assert tor._is_cone(simplex(1))
 
     def test_join_oracle_skips_cone_pairs(self, monkeypatch):
         B = berglund_complex()
@@ -258,19 +254,82 @@ class TestConeFactors:
             hot = sum(1 for i in subsets for j in subsets
                       if i < j and not i & j and not
                       full_subcomplex_homology(B, i | j, ZZ).is_trivial())
-        # each of these pairs of berglund_10 has a cone factor, so no join is
-        # built; without the skip there is one join per pair
+        # every pair of berglund_10 with source homology has a factor
+        # without homology or a Kunneth target of zero, so no join is built
         assert verdict.golod
-        assert hot > 0 and len(joins) < hot
+        assert hot > 0 and joins == []
 
-    def test_cone_skip_changes_no_verdict(self, monkeypatch):
-        rng = random.Random(47)
-        cases = [random_complex(rng, max_m=6) for _ in range(25)] + [C4, RP2]
-        gated = [golod_via_join(K, ring) for K in cases for ring in (ZZ, GF(2))]
-        monkeypatch.setattr(tor, "_is_cone", lambda L: False)
-        ungated = [golod_via_join(K, ring) for K in cases
-                   for ring in (ZZ, GF(2))]
-        assert gated == ungated
+
+class TestKunnethGate:
+    @staticmethod
+    def pairs():
+        rng = random.Random(1603)
+        out = [(random_complex(rng, max_m=4), random_complex(rng, max_m=4))
+               for _ in range(40)]
+        out += [(RP2, RP2), (empty_complex(1), RP2), (C4, empty_complex(2)),
+                (empty_complex(1), empty_complex(1))]
+        return out
+
+    def test_prediction_matches_built_joins(self):
+        for A, B in self.pairs():
+            for ring in (ZZ, QQ, GF(2)):
+                want = reduced_homology(join(A, B), ring)
+                got = tor.kunneth_join(reduced_homology(A, ring),
+                                       reduced_homology(B, ring))
+                assert got == want, (A, B, ring)
+
+    def test_rp2_join_rp2_has_tensor_and_tor_torsion(self):
+        # H~_1(RP2) = Z/2: Z/2 (x) Z/2 lands in degree 3, Tor(Z/2, Z/2) in 4
+        prof = tor.kunneth_join(reduced_homology(RP2, ZZ),
+                                reduced_homology(RP2, ZZ))
+        assert prof.free == {} and prof.torsion == {3: (2,), 4: (2,)}
+        assert prof == reduced_homology(join(RP2, RP2), ZZ)
+        # {()} * L = L
+        assert tor.kunneth_join(reduced_homology(empty_complex(1), ZZ),
+                                reduced_homology(RP2, ZZ)) == \
+            reduced_homology(RP2, ZZ)
+
+    def test_planted_wrong_prediction_raises(self, monkeypatch):
+        real = tor.kunneth_join
+
+        def inflated(a, b):
+            prof = real(a, b)
+            return HomologyProfile(prof.ring, {q: r + 1 for q, r in prof.free.items()},
+                                   prof.torsion)
+
+        monkeypatch.setattr(tor, "kunneth_join", inflated)
+        with pytest.raises(AssertionError, match="Kunneth gives"):
+            golod_via_join(C4, ZZ)
+
+    def test_built_joins_stay_out_of_the_store(self, monkeypatch):
+        # a join equal to some K_{I u J} may be stored as that complex, so
+        # the joins themselves are tracked: none outlives its pair
+        built = []
+        real_join, real_chains = tor.join, tor.build_simplicial_chain_complex
+
+        def tracked_join(K1, K2):
+            B = real_join(K1, K2)
+            built.append(weakref.ref(B))
+            return B
+
+        def tracked_chains(B):
+            cc = real_chains(B)
+            built.append(weakref.ref(cc))
+            return cc
+
+        monkeypatch.setattr(tor, "join", tracked_join)
+        monkeypatch.setattr(tor, "build_simplicial_chain_complex",
+                            tracked_chains)
+        rng = random.Random(1605)
+        cases = [C4, RP2, with_ground(RP2, 7)]
+        cases += [random_complex(rng, max_m=6) for _ in range(20)]
+        with run():
+            for K in cases:
+                for ring in (ZZ, GF(2)):
+                    golod_via_join(K, ring)
+            assert built and _STORE.get()
+            gc.collect()
+            assert all(ref() is None for ref in built)
 
 
 class TestJoinOracleReference:
