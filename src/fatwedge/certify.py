@@ -2,18 +2,21 @@
 wedge-decomposition reports of the associated polyhedral products.
 
 The certifier tries sufficient conditions cheapest-first; each fired rule
-carries machine-checkable evidence.  "nontrivial" is only ever concluded from
-a Golodness obstruction (the decomposition forces all Tor products to vanish,
-so a nonzero product is a genuine obstruction); failed searches alone yield
-"unknown", because every implemented condition is sufficient, not necessary.
+carries machine-checkable evidence.  Every rule is decided exactly and none
+searches: the paper's two conditions (the Alexander dual is sequentially
+Cohen-Macaulay over Z; K is ceil(dK/2)-neighborly) and three shortcuts.  No
+rule asks for a shelling of the dual: a shellable complex, pure or not, is
+SCM over Z (Bjorner and Wachs, "Shellable nonpure complexes and posets I",
+Trans. AMS 348 (1996)), so the SCM rule fires wherever that one would.
+"nontrivial" is only ever concluded from a Golodness obstruction (the
+decomposition forces all Tor products to vanish, so a nonzero product is a
+genuine obstruction); rules that decline alone yield "unknown", because
+every implemented condition is sufficient, not necessary.
 On a complex without ghost elements the Golod report is built before any
 rule: a non-Golod report settles "nontrivial" at once, since no sufficient
 rule can fire there.  The report is built once per call, and it checks the
 soundness of every rule that fires on such a complex.  With all_rules the
 rules run first, so a rule that fires on a non-Golod complex raises there.
-A rule may skip work that another fact makes futile: the exponential dual
-shelling search is tried only on a dual that is sequentially Cohen-Macaulay
-over Z, which every shellable complex is.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .complexes import (SimplicialComplex, flag_complex, full_subcomplex,
-                        max_neighborliness, minimal_nonfaces,
-                        perfect_elimination_order, run, shared, verts)
-from .criteria import (DEFAULT_BUDGET, FillingCertificate, ShellingOrder,
-                       fill_search, is_dual_scm, is_dual_shellable,
-                       is_homology_fillable)
+from .complexes import (SimplicialComplex, flag_complex, max_neighborliness,
+                        minimal_nonfaces, perfect_elimination_order, run,
+                        shared, verts)
+from .criteria import DEFAULT_BUDGET, is_dual_scm
 from .homology import (CoefficientRing, GF, QQ, ZZ, HomologyProfile, dK,
                        full_subcomplex_homology)
 from .tor import GolodVerdict, golod_via_join, golod_via_tor, torsion_primes
@@ -35,10 +36,7 @@ RULE_DIM = "DIM_GE_M_MINUS_2"
 RULE_FLAG = "FLAG_CHORDAL"
 RULE_LOW_DUAL = "LOW_DUAL_DIM"
 RULE_NEIGHBORLY = "NEIGHBORLY_DK"
-RULE_DUAL_SHELLABLE = "DUAL_SHELLABLE"
 RULE_DUAL_SCM = "DUAL_SCM_Z"
-RULE_FILLABLE = "ALL_FULLSUB_FILLABLE"
-RULE_HOMOLOGY_FILLABLE = "ALL_FULLSUB_HOMOLOGY_FILLABLE"
 RULE_NON_GOLOD = "NON_GOLOD_OBSTRUCTION"
 
 
@@ -106,13 +104,13 @@ class TrivialityCertificate:
         return out
 
 
-def _try_dim(K: SimplicialComplex, budget: int):
+def _try_dim(K: SimplicialComplex):
     if K.dim >= K.m - 2:
         return {"dim": K.dim, "m": K.m}
     return None
 
 
-def _try_flag_chordal(K: SimplicialComplex, budget: int):
+def _try_flag_chordal(K: SimplicialComplex):
     if K.dim > 1:
         one = K.skeleton(1)
     else:
@@ -125,7 +123,7 @@ def _try_flag_chordal(K: SimplicialComplex, budget: int):
     return {"chordal": True, "elimination_order": list(peo)}
 
 
-def _try_low_dual_dim(K: SimplicialComplex, budget: int):
+def _try_low_dual_dim(K: SimplicialComplex):
     mnf = minimal_nonfaces(K)
     if not mnf:
         return None   # full simplex; the dimension rule has already fired
@@ -135,7 +133,7 @@ def _try_low_dual_dim(K: SimplicialComplex, budget: int):
     return None
 
 
-def _try_neighborly(K: SimplicialComplex, budget: int):
+def _try_neighborly(K: SimplicialComplex):
     d = dK(K)
     required = 0 if d is None else -(-d // 2)
     nb = max_neighborliness(K)
@@ -145,56 +143,10 @@ def _try_neighborly(K: SimplicialComplex, budget: int):
     return None
 
 
-def _dual_scm_over_z(K: SimplicialComplex) -> bool:
-    """is_dual_scm(K, ZZ), computed once per run for both dual rules."""
-    return shared(("dual_scm", K), lambda: is_dual_scm(K, ZZ))
-
-
-def _try_dual_shellable(K: SimplicialComplex, budget: int):
-    # a dual that is not SCM over Z has no shelling (see certify_fwf_trivial)
-    if not _dual_scm_over_z(K):
-        return None
-    res = is_dual_shellable(K, budget)
-    if res.found:
-        order: ShellingOrder = res.certificate
-        return {"dual_shelling": [list(f) for f in order.facet_tuples()]}
-    return None
-
-
-def _try_dual_scm(K: SimplicialComplex, budget: int):
-    if _dual_scm_over_z(K):
+def _try_dual_scm(K: SimplicialComplex):
+    if is_dual_scm(K, ZZ):
         return {"dual_scm_over_Z": True}
     return None
-
-
-def _subsets_smallest_first(m: int) -> list[int]:
-    """Nonempty I in [m] by increasing |I|, numeric mask order within a size.
-
-    Small K_I are cheap to test, and a scan that fails on one stops before
-    the large K_I; every K_I is tested when the rule fires."""
-    return sorted(range(1, 1 << m), key=int.bit_count)
-
-
-def _try_all_fillable(K: SimplicialComplex, budget: int):
-    fillings = {}
-    for imask in _subsets_smallest_first(K.m):
-        sub = full_subcomplex(K, imask)
-        res = fill_search(sub, budget=budget)
-        if not res.found:
-            return None
-        cert: FillingCertificate = res.certificate
-        if cert.nonfaces:
-            fillings[imask] = [list(t) for t in cert.nonface_tuples()]
-    return {"nontrivial_fillings": {str(list(verts(imask))): fillings[imask]
-                                    for imask in sorted(fillings)}}
-
-
-def _try_all_homology_fillable(K: SimplicialComplex, budget: int):
-    for imask in _subsets_smallest_first(K.m):
-        sub = full_subcomplex(K, imask)
-        if not is_homology_fillable(sub).certified:
-            return None
-    return {"full_subcomplexes": (1 << K.m) - 1}
 
 
 #: (rule, check) in evaluation order, cheapest first
@@ -203,10 +155,7 @@ _RULES = (
     (RULE_FLAG, _try_flag_chordal),
     (RULE_LOW_DUAL, _try_low_dual_dim),
     (RULE_NEIGHBORLY, _try_neighborly),
-    (RULE_DUAL_SHELLABLE, _try_dual_shellable),
     (RULE_DUAL_SCM, _try_dual_scm),
-    (RULE_FILLABLE, _try_all_fillable),
-    (RULE_HOMOLOGY_FILLABLE, _try_all_homology_fillable),
 )
 
 
@@ -217,16 +166,8 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     obstruction.  With all_rules=True every rule is force-run and its outcome
     recorded for cross-validation.
 
-    The two full-subcomplex rules test K_I for I by increasing |I| (numeric
-    mask order within a size), each with its own budget, and stop at the
-    first K_I that fails; the verdict does not depend on the order.
-
-    The dual shelling search runs only when the dual is sequentially
-    Cohen-Macaulay over Z.  A shellable complex, pure or not, is SCM over Z:
-    each pure skeleton of a shellable complex is shellable, hence CM
-    (Bjorner and Wachs, "Shellable nonpure complexes and posets I", Trans.
-    AMS 348 (1996)).  The SCM answer is computed once per run and read by
-    both dual rules, so the gate changes no verdict and no rule.
+    budget is accepted and unused, since no rule searches; it stays for the
+    callers that pass it (perfbench/worker.py does, for every screen op).
 
     On a complex without ghost elements the Golod report comes first: a
     trivial filtration forces Golodness, so a non-Golod report settles
@@ -251,7 +192,7 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     for name, check in _RULES:
         if fired_rule is not None and not all_rules:
             break
-        ev = check(K, budget)
+        ev = check(K)
         rules_run.append((name, "fired" if ev is not None else "not_fired"))
         if ev is not None and fired_rule is None:
             fired_rule = name

@@ -2,10 +2,10 @@
 
 Exit codes: 0 = computed, 1 = negative verdict on a check command (not Golod,
 nontrivial/refuted/none), 2 = usage or parse error, 3 = search budget
-exhausted, 4 = internal error (an uncaught exception, reported as
-{"error": "<Type>: <message>"}).  Output is byte-identical for identical
-input and flags: keys are sorted and all list-valued fields use canonical
-orderings.
+exhausted (fill, shell; certify never searches), 4 = internal error (an
+uncaught exception, reported as {"error": "<Type>: <message>"}).  Output is
+byte-identical for identical input and flags: keys are sorted and all
+list-valued fields use canonical orderings.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ def _cmd_golod(args) -> int:
 
 def _cmd_certify(args) -> int:
     doc = _load(args.complex)
-    cert = certify_fwf_trivial(doc.complex(), budget=args.budget_nodes,
-                               all_rules=args.all_rules)
+    cert = certify_fwf_trivial(doc.complex(), all_rules=args.all_rules)
     _emit({"name": doc.name, "command": "certify", **cert.to_json()})
     return 1 if cert.verdict == "nontrivial" else 0
 
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("certify", _cmd_certify, "certify fat wedge filtration triviality")
     arg_complex(p)
-    p.add_argument("--budget-nodes", type=_at_least(0), default=DEFAULT_BUDGET)
     p.add_argument("--all-rules", action="store_true")
 
     p = add("bbcg", _cmd_bbcg, "wedge decomposition report")

@@ -23,7 +23,7 @@ from .complexes import (SimplicialComplex, alexander_dual, full_subcomplex,
                         minimal_nonfaces, shared, verts)
 from .homology import (CoefficientRing, GF, ZZ, HomologyProfile,
                        build_simplicial_chain_complex, chain_homology,
-                       is_i_acyclic, reduced_homology)
+                       is_i_acyclic)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -372,17 +372,17 @@ def fill_search(K: SimplicialComplex, p: int | None = None,
     """
     b = _Budget(budget)
     unresolved = False
+    ring = ZZ if p is None else GF(p)
     for chosen, filled in _fillings(K, minimal_nonfaces(K)):
         if not b.spend():
             return SearchResult("exhausted", None, budget + 1)
+        # the fillings skip the run's store, which they would swell
+        prof = chain_homology(build_simplicial_chain_complex(filled), ring)
+        if not prof.is_trivial():
+            continue
         if p is not None:
-            prof = reduced_homology(filled, GF(p))
-            if prof.is_trivial():
-                return SearchResult("found", FillingCertificate(
-                    chosen, p=p, profile=prof), budget - b.left)
-            continue
-        if not reduced_homology(filled, ZZ).is_trivial():
-            continue
+            return SearchResult("found", FillingCertificate(
+                chosen, p=p, profile=prof), budget - b.left)
         cert, exhausted = _collapse_filling(chosen, filled, b)
         if cert is not None:
             return SearchResult("found", cert, budget - b.left)

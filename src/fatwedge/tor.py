@@ -266,12 +266,14 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
         return hb
 
     hot = sorted(dims, key=verts)
+    # (t, dim) pairs in ascending t, as nonzero_degrees lists them
+    degrees = {imask: tuple(dims[imask].items()) for imask in hot}
     for ai, imask in enumerate(hot):
         for jmask in hot[ai + 1:]:
             if imask & jmask:
                 continue
-            for t1, n1 in sorted(dims[imask].items()):
-                for t2, n2 in sorted(dims[jmask].items()):
+            for t1, n1 in degrees[imask]:
+                for t2, n2 in degrees[jmask]:
                     if not dims.get(imask | jmask, {}).get(t1 + t2):
                         continue
                     hb1, hb2 = basis(imask, t1), basis(jmask, t2)

@@ -5,18 +5,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from fatwedge.certify import (RULE_DIM, RULE_DUAL_SCM, RULE_DUAL_SHELLABLE,
-                              RULE_FILLABLE, RULE_FLAG, RULE_HOMOLOGY_FILLABLE,
-                              RULE_LOW_DUAL, RULE_NEIGHBORLY, RULE_NON_GOLOD,
-                              SpacePoincare, _try_all_fillable, bbcg_summands,
-                              certify_fwf_trivial, golod_report)
+from fatwedge.certify import (RULE_DIM, RULE_FLAG, RULE_LOW_DUAL,
+                              RULE_NEIGHBORLY, RULE_NON_GOLOD, SpacePoincare,
+                              bbcg_summands, certify_fwf_trivial,
+                              golod_report)
 from fatwedge import certify, criteria, homology
 from fatwedge.complexes import (SimplicialComplex, boundary_of_simplex,
                                 flag_complex, full_subcomplex, is_chordal,
                                 make_complex, run, simplex,
-                                skeleton_of_simplex, verts)
+                                skeleton_of_simplex)
 from fatwedge.corpus import berglund_complex, corpus_names, load
-from fatwedge.criteria import (is_dual_scm, is_dual_shellable,
+from fatwedge.criteria import (fill_search, is_dual_scm, is_dual_shellable,
                                is_homology_fillable)
 from fatwedge.homology import ZZ, reduced_homology
 from fatwedge.rmac import build_rmac, cubical_homology, hochster_identity_check
@@ -86,7 +85,7 @@ class TestCertify:
         assert reports == []
 
     def test_non_golod_complex_runs_no_rule(self, monkeypatch):
-        def refuse(K, budget):
+        def refuse(K):
             raise AssertionError("a rule ran")
 
         monkeypatch.setattr(certify, "_RULES",
@@ -130,95 +129,62 @@ class TestCertify:
             verdicts.add(want["verdict"])
         assert verdicts == {"trivial", "nontrivial"}
 
-    def test_all_rules_mode_monotone(self):
-        # whenever the dual-shellable rule fires, the weaker rules 6-8 fire
-        # too; the SCM assertion holds by construction, since the shelling
-        # rule runs only on a dual that is SCM over Z
-        for name in corpus_names():
-            K = load(name).complex()
-            if K.m > 6:
-                continue
-            cert = certify_fwf_trivial(K, all_rules=True)
-            run = dict(cert.rules_run)
-            if run[RULE_DUAL_SHELLABLE] == "fired":
-                assert run[RULE_DUAL_SCM] == "fired"
-                assert run[RULE_FILLABLE] == "fired"
-                assert run[RULE_HOMOLOGY_FILLABLE] == "fired"
+
+def _seeded_complexes(seed: int, count: int) -> list[SimplicialComplex]:
+    """Flag complexes and 2-complexes with m <= 6; every third one below
+    m = 6 gets a ghost element."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        if i % 2:
+            K = flag_complex(random_graph(rng, max_m=6, min_m=3))
+        else:
+            K = random_two_complex(rng, max_m=6, min_m=3)
+        if i % 3 == 0 and K.m < 6:
+            K = with_ground(K, K.m + 1)
+        cases.append(K)
+    return cases
 
 
-#: the rules that run no later than the dual shelling search
-UP_TO_DUAL_SHELLABLE = (RULE_DIM, RULE_FLAG, RULE_LOW_DUAL, RULE_NEIGHBORLY,
-                        RULE_DUAL_SHELLABLE)
+class TestRetiredSearchRules:
+    """A shelling of the dual, or a filling of every full subcomplex (to a
+    contractible or a homology-acyclic complex), is sufficient for a trivial
+    filtration.  certify runs none of these searches, so its exact rules
+    must decide every such complex."""
 
+    def test_searches_imply_a_trivial_verdict(self):
+        shellable = fillable = homology_fillable = neither = 0
+        for K in _seeded_complexes(1801, 120):
+            with run():
+                subs = [full_subcomplex(K, i) for i in range(1, 1 << K.m)]
+                shelled = is_dual_shellable(K, 20000).found
+                filled = all(fill_search(L, budget=2000).found for L in subs)
+                homology_filled = all(is_homology_fillable(L).certified
+                                      for L in subs)
+                if shelled or filled or homology_filled:
+                    assert certify_fwf_trivial(K).verdict == "trivial", K
+                if shelled:
+                    # Bjorner and Wachs: a shellable complex is SCM over Z
+                    assert is_dual_scm(K, ZZ), K
+            shellable += shelled
+            fillable += filled
+            homology_fillable += homology_filled
+            neither += not (shelled or filled or homology_filled)
+        assert min(shellable, fillable, homology_fillable) >= 100
+        assert neither >= 5
 
-class TestDualShellingGate:
-    def test_gate_hides_no_shelling(self):
-        # flag complexes and 2-complexes on m <= 7 elements; every third one
-        # below m = 7 gets a ghost element.  The shelling search here is
-        # ungated
-        rng = random.Random(1013)
-        shellable = not_scm = 0
-        for i in range(90):
-            if i % 2:
-                K = flag_complex(random_graph(rng, max_m=7, min_m=4))
-            else:
-                K = random_two_complex(rng, max_m=7, min_m=4)
-            if i % 3 == 0 and K.m < 7:
-                K = with_ground(K, K.m + 1)
-            if is_dual_shellable(K, 20000).found:
-                shellable += 1
-                assert is_dual_scm(K, ZZ), K
-                cert = certify_fwf_trivial(K, budget=20000)
-                assert cert.rule in UP_TO_DUAL_SHELLABLE, K
-            elif not is_dual_scm(K, ZZ):
-                not_scm += 1
-        assert shellable >= 10 and not_scm >= 10
+    def test_certify_runs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify ran a search")
 
-    def test_no_shelling_search_on_a_dual_that_is_not_scm(self, monkeypatch):
-        searches, scm_calls = [], []
-        real_search = criteria.shelling_search
-
-        def counted_search(K, budget):
-            searches.append(K)
-            return real_search(K, budget)
-
-        def scm(answer):
-            def is_dual_scm(K, ring):
-                scm_calls.append(K)
-                return answer
-            return is_dual_scm
-
-        monkeypatch.setattr(criteria, "shelling_search", counted_search)
-        K = skeleton_of_simplex(5, 1)     # its dual is shellable
-        monkeypatch.setattr(certify, "is_dual_scm", scm(True))
-        rules = dict(certify_fwf_trivial(K, all_rules=True).rules_run)
-        assert rules[RULE_DUAL_SHELLABLE] == "fired"
-        assert len(searches) == 1 and len(scm_calls) == 1
-        searches.clear()
-        scm_calls.clear()
-        monkeypatch.setattr(certify, "is_dual_scm", scm(False))
-        rules = dict(certify_fwf_trivial(K, all_rules=True).rules_run)
-        assert rules[RULE_DUAL_SHELLABLE] == "not_fired"
-        assert rules[RULE_DUAL_SCM] == "not_fired"
-        # both dual rules read one answer from the run's store
-        assert searches == [] and len(scm_calls) == 1
-
-
-class TestFullSubcomplexScan:
-    def test_fillings_listed_in_mask_order(self):
-        # the scan runs by increasing |I|, but the evidence keeps numeric mask
-        # order: [1, 2, 4] (mask 11) precedes [1, 5] (mask 17)
-        path5 = make_complex(5, [[1, 2], [2, 3], [3, 4], [4, 5]])
-        ev = _try_all_fillable(path5, budget=10 ** 6)
-        assert list(ev["nontrivial_fillings"].items()) == [
-            ("[1, 3]", [[1, 2]]), ("[1, 4]", [[1, 2]]), ("[2, 4]", [[1, 2]]),
-            ("[1, 2, 4]", [[1, 3]]), ("[1, 3, 4]", [[1, 2]]),
-            ("[1, 5]", [[1, 2]]), ("[2, 5]", [[1, 2]]),
-            ("[1, 2, 5]", [[1, 3]]), ("[3, 5]", [[1, 2]]),
-            ("[1, 3, 5]", [[1, 2], [1, 3]]), ("[2, 3, 5]", [[1, 3]]),
-            ("[1, 2, 3, 5]", [[1, 4]]), ("[1, 4, 5]", [[1, 2]]),
-            ("[2, 4, 5]", [[1, 2]]), ("[1, 2, 4, 5]", [[1, 3]]),
-            ("[1, 3, 4, 5]", [[1, 2]])]
+        for name in ("shelling_search", "collapse_search", "fill_search",
+                     "is_homology_fillable"):
+            monkeypatch.setattr(criteria, name, refuse)
+        cases = [load(name).complex() for name in corpus_names()]
+        for K in cases + _seeded_complexes(1801, 120):
+            with run():
+                certify_fwf_trivial(K)
+                certify_fwf_trivial(K, all_rules=True)
 
 
 class TestGolodReport:

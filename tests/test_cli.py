@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fatwedge import rmac
+from fatwedge import corpus, rmac
 from fatwedge.cli import ParseError, parse_complex, run_command
 from fatwedge.corpus import corpus_names, load
 
@@ -132,12 +132,18 @@ class TestCommands:
         assert code == 0 and out["ambient"] == 5
 
     def test_negative_budget_is_a_usage_error(self, capsys):
-        for cmd in ("certify", "fill", "shell"):
+        for cmd in ("fill", "shell"):
             assert run_command([cmd, "c4", "--budget-nodes", "-3"]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "must be >= 0" in captured.err
         code, out = run(capsys, "shell", "c4", "--budget-nodes", "0")
         assert code == 3 and out["status"] == "exhausted"
+
+    def test_certify_takes_no_budget(self, capsys):
+        # no certifier rule searches, so there is no budget to set
+        assert run_command(["certify", "c4", "--budget-nodes", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--budget-nodes" in captured.err
 
     def test_bbcg_betti(self, capsys):
         code, out = run(capsys, "bbcg", "boundary_d2", "--betti", "t+t^3")
@@ -291,3 +297,8 @@ class TestCorpusData:
     def test_expected_blocks_present(self):
         for name in corpus_names():
             assert load(name).expected, f"{name} lacks an expected block"
+
+    def test_every_member_verifies(self):
+        for name in corpus_names():
+            results = corpus.verify_expected(load(name))
+            assert [key for key, ok, _ in results if not ok] == [], name

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
-                                make_complex, run, simplex,
+                                make_complex, minimal_nonfaces, run, simplex,
                                 skeleton_of_simplex, verts)
 from fatwedge.corpus import berglund_complex, corpus_names, load
-from fatwedge.criteria import (_face_set, _free_pairs, _shelling_ok,
-                               collapse_search, fill_search,
+from fatwedge.criteria import (_face_set, _fillings, _free_pairs,
+                               _shelling_ok, collapse_search, fill_search,
                                filling_from_dual_shelling,
                                is_collapse_sequence, is_dual_scm,
                                is_dual_shellable, is_homology_fillable, is_scm,
@@ -247,6 +247,20 @@ class TestFill:
     def test_full_simplex_trivially_filled(self):
         res = fill_search(simplex(3))
         assert res.found and res.certificate.nonfaces == ()
+
+    def test_fillings_stay_out_of_the_store(self):
+        # the pentagon's 5 minimal non-faces are edges, so no filling is
+        # acyclic and all 2^5 are tried in each mode; the store would keep
+        # every one of them until the run ends
+        pentagon = make_complex(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
+        fillings = {filled for chosen, filled
+                    in _fillings(pentagon, minimal_nonfaces(pentagon)) if chosen}
+        with run():
+            for p in (None, 2):
+                assert fill_search(pentagon, p=p).status == "refuted"
+            keys = list(_STORE.get())
+        assert len(fillings) == 31
+        assert not any(part in fillings for key in keys for part in key[1:])
 
     def test_exhausted_search_reports_budget_plus_one(self):
         # an overrun collapse search ends the whole search: the dual search

@@ -47,3 +47,12 @@ def test_every_traced_name_exists():
         mod = importlib.import_module(f"fatwedge.{module}")
         for name in names:
             assert hasattr(mod, name), f"fatwedge.{module}.{name}"
+    # a traced call bound in certify is charged to its rule, whose constant
+    # the tracer reads from certify
+    rule_of_call = next(ast.literal_eval(node.value) for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        and [t.id for t in node.targets] == ["RULE_OF_CALL"])
+    certify = importlib.import_module("fatwedge.certify")
+    for name, rule in rule_of_call.items():
+        if hasattr(certify, name):
+            assert hasattr(certify, rule), f"fatwedge.certify.{rule}"
