@@ -12,11 +12,11 @@ Trans. AMS 348 (1996)), so the SCM rule fires wherever that one would.
 decomposition forces all Tor products to vanish, so a nonzero product is a
 genuine obstruction); rules that decline alone yield "unknown", because
 every implemented condition is sufficient, not necessary.
-On a complex without ghost elements the Golod report is built before any
-rule: a non-Golod report settles "nontrivial" at once, since no sufficient
-rule can fire there.  The report is built once per call, and it checks the
-soundness of every rule that fires on such a complex.  With all_rules the
-rules run first, so a rule that fires on a non-Golod complex raises there.
+On a complex without ghost elements the Golod report is built once, before
+any rule: a non-Golod report settles "nontrivial" at once, since no
+sufficient rule can fire there, and the same report checks the soundness of
+every rule that fires on such a complex.  With all_rules a non-Golod report
+still runs every rule, so a rule that fires there raises.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, flag_complex, max_neighborliness,
                         minimal_nonfaces, perfect_elimination_order, run,
-                        shared, verts)
+                        verts)
 from .criteria import DEFAULT_BUDGET, is_dual_scm
 from .homology import (CoefficientRing, GF, QQ, ZZ, HomologyProfile, dK,
                        full_subcomplex_homology)
@@ -169,23 +169,21 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
     budget is accepted and unused, since no rule searches; it stays for the
     callers that pass it (perfbench/worker.py does, for every screen op).
 
-    On a complex without ghost elements the Golod report comes first: a
-    trivial filtration forces Golodness, so a non-Golod report settles
-    "nontrivial" before any rule runs, and no sufficient rule could fire
-    there.  Wherever a rule does fire on such a complex, the verdict is
+    On a complex without ghost elements the Golod report comes first, in
+    every mode: a trivial filtration forces Golodness, so a non-Golod report
+    settles "nontrivial" before any rule runs, and no sufficient rule could
+    fire there.  Wherever a rule does fire on such a complex, the verdict is
     sanity-checked against that same report (the decomposition implies
-    Golodness).  With all_rules=True, or with a ghost element, the rules run
-    first; under all_rules the check runs on every ghost-free complex where a
-    rule fires, so a rule firing on a non-Golod complex raises.
+    Golodness); with all_rules=True a non-Golod report still runs every
+    rule, so a rule firing there raises.  With a ghost element the rules run
+    first, and the report is built only when none fires.
     """
     # triviality implies Golodness only when every element of [m] is a
     # vertex; ghost elements carry degree -1 classes invisible to the
     # (vacuously null) attaching maps
-    ghost_free = K.support == (1 << K.m) - 1
-    if ghost_free and not all_rules:
-        report = _golod_report(K)
-        if not report.golod:
-            return _non_golod(report, ())
+    report = golod_report(K) if K.support == (1 << K.m) - 1 else None
+    if report is not None and not report.golod and not all_rules:
+        return _non_golod(report, ())
     fired_rule = None
     fired_evidence = None
     rules_run = []
@@ -199,23 +197,18 @@ def certify_fwf_trivial(K: SimplicialComplex, budget: int = DEFAULT_BUDGET,
             fired_evidence = ev
     recorded = tuple(rules_run) if all_rules else ()
     if fired_rule is not None:
-        report = _golod_report(K) if ghost_free else None
         if report is not None and not report.golod:
             raise AssertionError(
                 f"soundness violation: rule {fired_rule} fired on a "
                 f"non-Golod complex ({report.witness_text})")
         return TrivialityCertificate("trivial", fired_rule, fired_evidence,
                                      golod=report, rules_run=recorded)
-    report = _golod_report(K)
+    if report is None:
+        report = golod_report(K)
     if not report.golod:
         return _non_golod(report, recorded)
     return TrivialityCertificate("unknown", None, {}, golod=report,
                                  rules_run=recorded)
-
-
-def _golod_report(K: SimplicialComplex) -> GolodReport:
-    """golod_report(K), built once per run and read by every later step."""
-    return shared(("golod_report", K), lambda: golod_report(K))
 
 
 def _non_golod(report: GolodReport,

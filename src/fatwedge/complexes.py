@@ -16,13 +16,14 @@ memoized per dimension on first use, which is safe to share between threads
 under the GIL (worst case the cache is filled twice with equal values).
 
 Results that equal complexes share -- full subcomplexes, simplicial chain
-complexes with their reductions, Koszul piece tables, component fill reports
--- live in one store, keyed by (kind, complex, ...) tuples, so an equal
-complex held in another object finds them too.  The store lives as long as a
-run: the outermost ``with run():`` (or ``@run()`` function) opens it, nested
-runs join it, and it is dropped when that outermost run ends.  Outside a run
-``shared`` just builds.  The store belongs to the context of the thread that
-opened it; a new thread starts outside any run.
+complexes with their reductions, Koszul pieces and their cohomology bases
+per field, component fill reports -- live in one store, keyed by (kind,
+complex, ...) tuples, so an equal complex held in another object finds them
+too.  The store lives as long as a run: the outermost ``with run():`` (or
+``@run()`` function) opens it, nested runs join it, and it is dropped when
+that outermost run ends.  Outside a run ``shared`` just builds.  The store
+belongs to the context of the thread that opened it; a new thread starts
+outside any run.
 """
 
 from __future__ import annotations
@@ -261,10 +262,6 @@ def boundary_of_simplex(m: int) -> SimplicialComplex:
     return SimplicialComplex(m, tuple(full ^ (1 << i) for i in range(m)), _trusted=True)
 
 
-def skeleton_of_simplex(m: int, k: int) -> SimplicialComplex:
-    return simplex(m).skeleton(k)
-
-
 def empty_complex(m: int) -> SimplicialComplex:
     return SimplicialComplex(m, (0,), _trusted=True)
 
@@ -329,16 +326,6 @@ def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     """Join K1 * K2 on [m1 + m2]; K2's labels are shifted up by m1."""
     facets = tuple(f1 | (f2 << K1.m) for f1 in K1.facets for f2 in K2.facets)
     return SimplicialComplex(K1.m + K2.m, _maximal(facets), _trusted=True)
-
-
-def cone(K: SimplicialComplex) -> SimplicialComplex:
-    """Cone with apex vertex 1; K's labels are shifted up by 1."""
-    return join(simplex(1), K)
-
-
-def suspension(K: SimplicialComplex) -> SimplicialComplex:
-    """Suspension with poles 1, 2; K's labels are shifted up by 2."""
-    return join(boundary_of_simplex(2), K)
 
 
 # -- non-faces and duality -------------------------------------------------
@@ -495,9 +482,3 @@ def max_neighborliness(K: SimplicialComplex) -> int:
     if not mnf:
         return K.m - 1
     return min(M.bit_count() for M in mnf) - 2
-
-
-def is_k_neighborly(K: SimplicialComplex, k: int) -> bool:
-    if k < 0:
-        raise ValueError("neighborliness index must be >= 0")
-    return k <= max_neighborliness(K)

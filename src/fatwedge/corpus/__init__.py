@@ -28,7 +28,10 @@ def corpus_names() -> tuple[str, ...]:
 
 
 def load(name: str):
+    """The bundled complex called name; any other name raises ValueError."""
     from ..cli import parse_complex
+    if name not in corpus_names():
+        raise ValueError(f"no corpus complex named {name!r}")
     files = resources.files("fatwedge.corpus")
     return parse_complex(files.joinpath(f"{name}.json").read_text("utf-8"))
 
@@ -88,17 +91,21 @@ def _c_chordal(K, want):
     return got == want, got
 
 
+def _certificate(K):
+    """One certificate per complex, shared by the two checks that read it."""
+    from ..certify import certify_fwf_trivial
+    return shared(("certificate", K), lambda: certify_fwf_trivial(K))
+
+
 @_register("certify_verdict")
 def _c_verdict(K, want):
-    from ..certify import certify_fwf_trivial
-    got = certify_fwf_trivial(K).verdict
+    got = _certificate(K).verdict
     return got == want, got
 
 
 @_register("certify_rule")
 def _c_rule(K, want):
-    from ..certify import certify_fwf_trivial
-    got = certify_fwf_trivial(K).rule
+    got = _certificate(K).rule
     return got == want, got
 
 

@@ -29,10 +29,10 @@ from .complexes import SimplicialComplex, full_subcomplex, run, shared, verts
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
                   prime_factors, rank_mod_p, smith_normal_form)
 
-# Tally of boundary-squared verifications, one entry per chain complex or
-# Koszul piece constructed; the acceptance suite reads this to confirm the
-# d^2 = 0 invariant was actually exercised everywhere.
-DD_ZERO_CHECKS = {"chain_complexes": 0, "koszul_pieces": 0}
+# Tally of boundary-squared verifications, one per chain complex constructed
+# (simplicial, cubical or Koszul); the acceptance suite reads this to confirm
+# the d^2 = 0 invariant was actually exercised everywhere.
+DD_ZERO_CHECKS = {"chain_complexes": 0}
 
 # The d^2 check sorts signed rows only where d_{q-1} has at least this many
 # columns; on smaller maps (most full subcomplexes at m <= 8) building the
@@ -102,7 +102,7 @@ class ChainComplex:
         self.basis = {q: tuple(cells) for q, cells in basis.items() if len(cells) > 0}
         self.boundary = {q: tuple(cols) for q, cols in boundary.items()
                          if q in self.basis and (q - 1) in self.basis}
-        self._index = None
+        self._index: dict[int, dict] = {}
         self._rank_divisors = None
         self._profiles: dict[CoefficientRing, HomologyProfile] = {}
         for q, cols in self.boundary.items():
@@ -160,11 +160,13 @@ class ChainComplex:
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
 
-    def index(self, q: int, label) -> int:
-        if self._index is None:
-            self._index = {qq: {lab: i for i, lab in enumerate(cells)}
-                           for qq, cells in self.basis.items()}
-        return self._index[q][label]
+    def index(self, q: int) -> dict:
+        """Position of each cell label in basis[q], built on first use."""
+        idx = self._index.get(q)
+        if idx is None:
+            idx = self._index[q] = {lab: i for i, lab
+                                    in enumerate(self.basis.get(q, ()))}
+        return idx
 
 
 def _signed_rows(cols: Sequence[dict]) -> list[tuple[list[int], list[int]]] | None:
@@ -343,10 +345,6 @@ def full_subcomplex_homology(K: SimplicialComplex, imask: int,
     return reduced_homology(full_subcomplex(K, imask), ring)
 
 
-def is_acyclic(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
-    return reduced_homology(K, ring).is_trivial()
-
-
 def is_i_acyclic(K: SimplicialComplex, ring: CoefficientRing, i: int) -> bool:
     return reduced_homology(K, ring).is_trivial_up_to(i)
 
@@ -480,33 +478,28 @@ class HomologyBasis:
         return not any(self.class_coords(chain))
 
 
-def is_zero_on_homology(A: SimplicialComplex, B: SimplicialComplex,
+def is_zero_on_homology(ccA: ChainComplex, ccB: ChainComplex,
                         ring: CoefficientRing,
-                        degrees: Iterable[int] | None = None,
-                        b_chains: ChainComplex | None = None) -> bool:
-    """True iff the inclusion of A in B vanishes on H~_q for every (given) q.
+                        degrees: Iterable[int] | None = None) -> bool:
+    """True iff the inclusion of ccA in ccB vanishes on H_q for every (given) q.
 
-    A must be a subcomplex of B cell for cell, same vertex labels; each
-    generator of H~_q(A) is carried into B's chains unchanged and tested
-    there.  A cell of a pushed cycle that B lacks raises ValueError.
-    b_chains, when given, is B's simplicial chain complex, held by the caller
-    instead of the run's store.
+    ccA must be a subcomplex of ccB cell for cell, with the same labels in
+    each degree; each generator of H_q(ccA) is carried into ccB unchanged and
+    tested there.  A cell of a pushed cycle that ccB lacks raises ValueError.
     """
-    if degrees is None:
-        degrees = range(-1, A.dim + 1)
-    ccA = simplicial_chain_complex(A)
-    ccB = b_chains if b_chains is not None else simplicial_chain_complex(B)
     src = chain_homology(ccA, ring)
-    for q in degrees:
+    for q in src.nonzero_degrees() if degrees is None else degrees:
         if src.betti(q) == 0 and not src.torsion_at(q):
             continue
         cells = ccA.basis[q]
+        index = ccB.index(q)
         gens = HomologyBasis(ccA, ring, q).generators
         try:
-            pushed = [{ccB.index(q, cells[i]): v for i, v in enumerate(gen) if v}
+            pushed = [{index[cells[i]]: v for i, v in enumerate(gen) if v}
                       for gen in gens]
         except KeyError:
-            raise ValueError(f"A is not a subcomplex of B in degree {q}") from None
+            raise ValueError(f"source is not a subcomplex of the target in "
+                             f"degree {q}") from None
         if not all(map(HomologyBasis(ccB, ring, q).is_zero_class, pushed)):
             return False
     return True

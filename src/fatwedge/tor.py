@@ -9,9 +9,11 @@ u_omega v_sigma . u_omega' v_sigma' = +-u_{omega+omega'} v_{sigma+sigma'}
 when the four supports are pairwise disjoint and sigma+sigma' is a face,
 else zero.  Both preserve the multidegree, so the algebra splits into one
 finite cochain complex per subset I of [m], whose basis is just the faces of
-K contained in I.  These pieces are integral, so one piece and its reduction
-serve every field; only the cocycle bases used for products depend on the
-field.
+K contained in I.  Each piece is an ordinary ChainComplex (``koszul_piece``)
+and is checked for d^2 = 0 like any other.  The pieces are integral, so one
+piece and its reduction serve every field; only the cocycle bases used for
+products depend on the field.  The run's store keeps the pieces under
+("pieces", K) and the bases under ("bases", K, field).
 
 Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
@@ -37,10 +39,10 @@ from math import gcd
 
 from .complexes import (SimplicialComplex, full_subcomplex, join, run, shared,
                         verts)
-from .homology import (DD_ZERO_CHECKS, ChainComplex, CoefficientRing, ZZ,
-                       HomologyBasis, HomologyProfile,
-                       build_simplicial_chain_complex, chain_homology,
-                       full_subcomplex_homology, is_zero_on_homology)
+from .homology import (ChainComplex, CoefficientRing, ZZ, HomologyBasis,
+                       HomologyProfile, build_simplicial_chain_complex,
+                       chain_homology, full_subcomplex_homology,
+                       is_zero_on_homology, simplicial_chain_complex)
 
 
 def _merge_sign(mask_a: int, mask_b: int) -> int:
@@ -54,68 +56,42 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return -1 if inv % 2 else 1
 
 
-class _Piece:
+def koszul_piece(K: SimplicialComplex, imask: int) -> ChainComplex:
     """The multidegree-I part: a cochain complex on the faces of K inside I.
 
-    Stored as a ChainComplex under q = -t so the homology machinery (which
-    lowers degree) applies verbatim.  The complex is integral, so one piece
-    serves every field: its integral reduction is shared, and cohomology
-    classes with representative cocycles are built per field, only where
-    products get computed.
+    The face s stands for u_{I-s} v_s in total degree t = |I| + |s|, stored
+    in degree q = -t so the homology machinery (which lowers degree)
+    applies verbatim; each degree lists its faces in increasing mask order.
+    The complex is integral, so one piece serves every field.
     """
-
-    def __init__(self, K: SimplicialComplex, imask: int):
-        isize = imask.bit_count()
-        faces = [s for s in K.all_faces() if s & ~imask == 0]
-        by_t: dict[int, list[int]] = {}
-        for s in faces:
-            by_t.setdefault(isize + s.bit_count(), []).append(s)
-        for t in by_t:
-            by_t[t].sort()
-        self.by_t = by_t
-        index = {t: {s: i for i, s in enumerate(ss)} for t, ss in by_t.items()}
-        self.index = index
-        basis = {-t: tuple(ss) for t, ss in by_t.items()}
-        boundary: dict[int, list[dict[int, int]]] = {}
-        for t, ss in by_t.items():
-            if (t + 1) not in by_t:
-                continue
-            up = index[t + 1]
-            cols = []
-            for s in ss:
-                col: dict[int, int] = {}
-                omega = imask & ~s
-                k = 0
-                rem = omega
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    t2 = s | low
-                    j = up.get(t2)
-                    if j is not None:
-                        col[j] = 1 if k % 2 == 0 else -1
-                    k += 1
-                cols.append(col)
-            # q = -t lowers to q-1 = -(t+1): columns live on the t+1 basis
-            boundary[-t] = cols
-        self._cc = ChainComplex(basis, boundary)
-        DD_ZERO_CHECKS["koszul_pieces"] += 1
-        self._bases: dict[tuple[CoefficientRing, int], HomologyBasis] = {}
-
-    def total_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_t))
-
-    def basis_at(self, t: int) -> tuple[int, ...]:
-        return self.by_t.get(t, ())
-
-    def cohomology_basis(self, t: int, ring: CoefficientRing) -> HomologyBasis:
-        hb = self._bases.get((ring, t))
-        if hb is None:
-            hb = self._bases[ring, t] = HomologyBasis(self._cc, ring, -t)
-        return hb
-
-    def cohomology_dim(self, t: int, ring: CoefficientRing) -> int:
-        return chain_homology(self._cc, ring).betti(-t)
+    isize = imask.bit_count()
+    basis: dict[int, list[int]] = {}
+    for s in K.all_faces():
+        if s & ~imask == 0:
+            basis.setdefault(-isize - s.bit_count(), []).append(s)
+    for ss in basis.values():
+        ss.sort()
+    boundary: dict[int, list[dict[int, int]]] = {}
+    for q, ss in basis.items():
+        # d raises t, so degree q = -t maps into q - 1 = -(t + 1)
+        if q - 1 not in basis:
+            continue
+        up = {s: i for i, s in enumerate(basis[q - 1])}
+        cols = []
+        for s in ss:
+            col: dict[int, int] = {}
+            k = 0
+            rem = imask & ~s
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                j = up.get(s | low)
+                if j is not None:
+                    col[j] = 1 if k % 2 == 0 else -1
+                k += 1
+            cols.append(col)
+        boundary[q] = cols
+    return ChainComplex(basis, boundary)
 
 
 class TorAlgebra:
@@ -127,23 +103,31 @@ class TorAlgebra:
         self.K = K
         self.field = field
         # the pieces built so far, by multidegree, shared by every field
-        self._pieces: dict[int, _Piece] = shared(("pieces", K), dict)
+        self._pieces: dict[int, ChainComplex] = shared(("pieces", K), dict)
+        # cohomology bases over this field, by (multidegree, total degree)
+        self._bases: dict[tuple[int, int], HomologyBasis] = \
+            shared(("bases", K, field), dict)
 
-    def piece(self, imask: int) -> _Piece:
+    def piece(self, imask: int) -> ChainComplex:
         pc = self._pieces.get(imask)
         if pc is None:
-            pc = self._pieces[imask] = _Piece(self.K, imask)
+            pc = self._pieces[imask] = koszul_piece(self.K, imask)
         return pc
+
+    def basis(self, imask: int, t: int) -> HomologyBasis:
+        """Classes of H^t of piece I, with representative cocycles."""
+        hb = self._bases.get((imask, t))
+        if hb is None:
+            hb = self._bases[imask, t] = HomologyBasis(self.piece(imask),
+                                                       self.field, -t)
+        return hb
 
     def dimensions(self) -> dict[int, int]:
         """Total cohomology dimension per degree, all multidegrees summed."""
         dims: dict[int, int] = {}
         for imask in range(0, 1 << self.K.m):
-            pc = self.piece(imask)
-            for t in pc.total_degrees():
-                d = pc.cohomology_dim(t, self.field)
-                if d:
-                    dims[t] = dims.get(t, 0) + d
+            for q, d in chain_homology(self.piece(imask), self.field).free.items():
+                dims[-q] = dims.get(-q, 0) + d
         return dims
 
     def product_class_is_zero(self, imask: int, t1: int, gen1: list,
@@ -156,11 +140,11 @@ class TorAlgebra:
         """
         target = self.piece(imask | jmask)
         tt = t1 + t2
-        tgt_basis = target.index.get(tt)
-        if not tgt_basis:
+        if -tt not in target.basis:
             return True
-        b1 = self.piece(imask).basis_at(t1)
-        b2 = self.piece(jmask).basis_at(t2)
+        tgt_index = target.index(-tt)
+        b1 = self.piece(imask).basis.get(-t1, ())
+        b2 = self.piece(jmask).basis.get(-t2, ())
         p = self.field.p if self.field.kind == "Zp" else None
         prod: dict[int, int] = {}
         for i1, s1 in enumerate(b1):
@@ -177,7 +161,7 @@ class TorAlgebra:
                     continue
                 om2 = jmask & ~s2
                 sign = _merge_sign(om1, om2)
-                idx = tgt_basis[s12]
+                idx = tgt_index[s12]
                 val = prod.get(idx, 0) + sign * a * b
                 if p is not None:
                     val %= p
@@ -185,7 +169,7 @@ class TorAlgebra:
         prod = {i: v for i, v in prod.items() if v}
         if not prod:
             return True
-        return target.cohomology_basis(tt, self.field).is_zero_class(prod)
+        return self.basis(imask | jmask, tt).is_zero_class(prod)
 
 
 def build_tor(K: SimplicialComplex, field: CoefficientRing) -> TorAlgebra:
@@ -259,7 +243,7 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
                            for q in prof.nonzero_degrees()}
 
     def basis(imask: int, t: int) -> HomologyBasis:
-        hb = alg.piece(imask).cohomology_basis(t, field)
+        hb = alg.basis(imask, t)
         if hb.rank != dims[imask][t]:
             raise AssertionError(f"piece {verts(imask)} has rank {hb.rank} in "
                                  f"degree {t}, Hochster gives {dims[imask][t]}")
@@ -354,9 +338,9 @@ def _join_pair_nonzero(K, imask: int, jmask: int, profiles,
     if built != target:
         raise AssertionError(f"join for I={verts(imask)}, J={verts(jmask)} "
                              f"has {built}, Kunneth gives {target}")
-    A = full_subcomplex(K, imask, jmask)
+    source = simplicial_chain_complex(full_subcomplex(K, imask, jmask))
     for q in degrees:
-        if not is_zero_on_homology(A, B, ring, degrees=(q,), b_chains=chains):
+        if not is_zero_on_homology(source, chains, ring, degrees=(q,)):
             return q
     return None
 

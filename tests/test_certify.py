@@ -12,8 +12,7 @@ from fatwedge.certify import (RULE_DIM, RULE_FLAG, RULE_LOW_DUAL,
 from fatwedge import certify, criteria, homology
 from fatwedge.complexes import (SimplicialComplex, boundary_of_simplex,
                                 flag_complex, full_subcomplex, is_chordal,
-                                make_complex, run, simplex,
-                                skeleton_of_simplex)
+                                make_complex, run, simplex)
 from fatwedge.corpus import berglund_complex, corpus_names, load
 from fatwedge.criteria import (fill_search, is_dual_scm, is_dual_shellable,
                                is_homology_fillable)
@@ -60,7 +59,7 @@ class TestCertify:
         assert cert.rule == RULE_FLAG
 
     def test_skeleton_by_low_dual_dim(self):
-        cert = certify_fwf_trivial(skeleton_of_simplex(5, 1))
+        cert = certify_fwf_trivial(simplex(5).skeleton(1))
         assert cert.verdict == "trivial" and cert.rule == RULE_LOW_DUAL
 
     def test_soundness_assertion_runs(self):
@@ -105,10 +104,11 @@ class TestCertify:
         monkeypatch.setattr(certify, "golod_report", counted)
         for K, verdict in ((PATH, "trivial"), (load("c4").complex(), "nontrivial"),
                            (UNKNOWN, "unknown")):
-            built.clear()
-            cert = certify_fwf_trivial(K)
-            assert cert.verdict == verdict and built == [K]
-            assert cert.golod is not None
+            for all_rules in (False, True):
+                built.clear()
+                cert = certify_fwf_trivial(K, all_rules=all_rules)
+                assert cert.verdict == verdict and built == [K]
+                assert cert.golod is not None
 
     def test_default_order_matches_all_rules(self):
         # seeded complexes, every third with a ghost element, and the

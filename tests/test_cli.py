@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fatwedge import corpus, rmac
+from fatwedge import certify, corpus, rmac
 from fatwedge.cli import ParseError, parse_complex, run_command
 from fatwedge.corpus import corpus_names, load
 
@@ -254,6 +254,28 @@ class TestCommands:
         assert got["hochster_identity"] is True
         assert got["rmac_counts"] == load("c4").expected["rmac_counts"]
         assert len(builds) == 1
+
+    def test_corpus_verify_certifies_once(self, capsys, monkeypatch):
+        # the verdict and rule checks read one certificate
+        calls, real = [], certify.certify_fwf_trivial
+
+        def spy(K):
+            calls.append(K)
+            return real(K)
+
+        monkeypatch.setattr(certify, "certify_fwf_trivial", spy)
+        code, out = run(capsys, "corpus", "c4", "--verify")
+        keys = {c["key"] for c in out["checks"]}
+        assert code == 0 and {"certify_rule", "certify_verdict"} <= keys
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["../corpus/c4", "nosuch"])
+    def test_corpus_rejects_a_name_outside_the_corpus(self, capsys, name):
+        code, out = run(capsys, "corpus", name)
+        assert code == 2
+        assert out == {"error": f"no corpus complex named {name!r}"}
+        with pytest.raises(ValueError, match="no corpus complex named"):
+            load(name)
 
 
 class TestModuleEntryPoint:

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (_STORE, SimplicialComplex, alexander_dual,
-                                boundary_of_simplex, cone, empty_complex,
+                                boundary_of_simplex, empty_complex,
                                 flag_complex, full_subcomplex,
-                                generated_subcomplex, is_chordal,
-                                is_k_neighborly, join, link, make_complex,
-                                mask_of, max_neighborliness, minimal_nonfaces,
-                                run, shared, simplex, skeleton_of_simplex,
-                                suspension, verts)
+                                generated_subcomplex, is_chordal, join, link,
+                                make_complex, mask_of, max_neighborliness,
+                                minimal_nonfaces, run, shared, simplex, verts)
 from fatwedge.corpus import berglund_complex
 
 from helpers import (brute_force_faces, deletion, random_complex, star,
@@ -113,9 +111,9 @@ class TestJoin:
         assert facet_tuples(sq) == [(1, 3), (1, 4), (2, 3), (2, 4)]
 
     def test_cone_and_suspension_shapes(self):
-        c = cone(C4)
+        c = join(simplex(1), C4)
         assert c.m == 5 and c.dim == 2
-        s = suspension(C4)
+        s = join(boundary_of_simplex(2), C4)
         assert s.m == 6 and s.dim == 2
 
     def test_join_of_boundaries(self):
@@ -239,7 +237,7 @@ class TestFlagAndChordal:
         assert not is_chordal(C4)
 
     def test_complete_graph(self):
-        K4 = skeleton_of_simplex(4, 1)
+        K4 = simplex(4).skeleton(1)
         assert flag_complex(K4) == simplex(4)
         assert is_chordal(K4)
 
@@ -263,16 +261,12 @@ class TestFlagAndChordal:
 class TestNeighborliness:
     def test_berglund_two_not_three(self):
         B = berglund_complex()
-        assert is_k_neighborly(B, 2)
-        assert not is_k_neighborly(B, 3)
+        assert max_neighborliness(B) == 2
 
     def test_simplex(self):
-        for k in range(4):
-            assert is_k_neighborly(simplex(4), k)
         assert max_neighborliness(simplex(4)) == 3
 
     def test_four_cycle(self):
-        assert not is_k_neighborly(C4, 1)
         assert max_neighborliness(C4) == 0
 
     @given(complexes(max_m=5))

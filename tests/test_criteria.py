@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
                                 make_complex, minimal_nonfaces, run, simplex,
-                                skeleton_of_simplex, verts)
+                                verts)
 from fatwedge.corpus import berglund_complex, corpus_names, load
 from fatwedge.criteria import (_face_set, _fillings, _free_pairs,
                                _shelling_ok, collapse_search, fill_search,
@@ -18,7 +18,7 @@ from fatwedge.criteria import (_face_set, _fillings, _free_pairs,
                                is_dual_shellable, is_homology_fillable, is_scm,
                                is_shelling, shelling_search,
                                spanning_facets, strong_gcd_search)
-from fatwedge.homology import QQ, ZZ, is_acyclic
+from fatwedge.homology import QQ, ZZ, reduced_homology
 
 from helpers import (is_cm, is_strong_gcd_order, is_weak_shelling,
                      random_complex, reference_collapse_search,
@@ -37,9 +37,9 @@ RP2 = make_complex(6, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5], [2, 5, 6],
 class TestShelling:
     def test_skeleta_of_simplices_are_shellable(self):
         for m, k in ((4, 1), (5, 1), (5, 2), (4, 2)):
-            res = shelling_search(skeleton_of_simplex(m, k))
+            res = shelling_search(simplex(m).skeleton(k))
             assert res.found
-            assert is_shelling(skeleton_of_simplex(m, k), res.certificate.facets)
+            assert is_shelling(simplex(m).skeleton(k), res.certificate.facets)
 
     def test_four_cycle_shellable(self):
         res = shelling_search(C4)
@@ -147,7 +147,7 @@ class TestCollapse:
         for _ in range(30):
             K = random_complex(rng, max_m=5)
             if collapse_search(K, budget=30000).found:
-                assert is_acyclic(K, ZZ)
+                assert reduced_homology(K, ZZ).is_trivial()
 
 
 class TestCollapseAgainstReference:
@@ -242,7 +242,7 @@ class TestFill:
         assert len(cert.nonfaces) == 2     # two edges complete a tree
         filled = make_complex(3, [list(verts(f)) for f in cert.nonfaces]
                               + [[1], [2], [3]])
-        assert is_acyclic(filled, ZZ)
+        assert reduced_homology(filled, ZZ).is_trivial()
 
     def test_full_simplex_trivially_filled(self):
         res = fill_search(simplex(3))
@@ -286,7 +286,7 @@ class TestHomologyFillable:
         assert verdict.components[0].fillings_by_prime[0] == ("Q", [])
 
     def test_dual_shellable_member_certified(self):
-        assert is_homology_fillable(skeleton_of_simplex(4, 1)).certified
+        assert is_homology_fillable(simplex(4).skeleton(1)).certified
 
     def test_four_cycle_refuted(self):
         assert is_homology_fillable(C4).status == "refuted"

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 
 from fatwedge import homology
 from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
-                                make_complex, run, simplex,
-                                skeleton_of_simplex)
+                                make_complex, run, simplex)
 from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ, ChainComplex
 from fatwedge.rmac import (CubicalComplex, build_rmac, cubical_chain_complex,
                            cubical_homology, hochster_identity_check,
@@ -267,6 +266,6 @@ class TestHochsterIdentity:
         for m, k in ((7, 1), (8, 2)):
             rank = sum(comb(m, j) * comb(j - 1, k + 1) for j in range(1, m + 1))
             for ring in (ZZ, GF(2)):
-                rep = hochster_identity_check(skeleton_of_simplex(m, k), ring)
+                rep = hochster_identity_check(simplex(m).skeleton(k), ring)
                 assert rep.equal
                 assert rep.lhs.free == {k + 1: rank} and not rep.lhs.torsion

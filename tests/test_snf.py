@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge import snf
-from fatwedge.complexes import make_complex, skeleton_of_simplex
+from fatwedge.complexes import make_complex, simplex
 from fatwedge.homology import ChainComplex, build_simplicial_chain_complex
 from fatwedge.rmac import build_rmac, cubical_chain_complex
 from fatwedge.snf import (complex_rank_divisors, invariant_factors, is_prime,
@@ -214,7 +214,7 @@ def test_worklist_takes_the_pivots_of_a_cubical_complex(monkeypatch):
     # must cascade through the worklist (each one exposing the next in the
     # adjacent degrees) and leave nothing for the Markowitz heap
     spy = _EngineSpy(monkeypatch)
-    cc = cubical_chain_complex(build_rmac(skeleton_of_simplex(7, 2)))
+    cc = cubical_chain_complex(build_rmac(simplex(7).skeleton(2)))
     cells = sum(cc.dim(q) for q in cc.basis)
     ranks, divisors = complex_rank_divisors(cc.boundary,
                                             {q: cc.dim(q) for q in cc.basis})
