@@ -15,15 +15,15 @@ Complexes are immutable after construction and hashable; face enumeration is
 memoized per dimension on first use, which is safe to share between threads
 under the GIL (worst case the cache is filled twice with equal values).
 
-Results that equal complexes share -- full subcomplexes, simplicial chain
-complexes with their reductions, Koszul pieces and their cohomology bases
-per field, component fill reports -- live in one store, keyed by (kind,
-complex, ...) tuples, so an equal complex held in another object finds them
-too.  The store lives as long as a run: the outermost ``with run():`` (or
-``@run()`` function) opens it, nested runs join it, and it is dropped when
-that outermost run ends.  Outside a run ``shared`` just builds.  The store
-belongs to the context of the thread that opened it; a new thread starts
-outside any run.
+Results that equal complexes share -- full subcomplexes, strong-collapse
+core masks, simplicial chain complexes with their reductions, Koszul pieces
+and their cohomology bases per field, component fill reports -- live in one
+store, keyed by (kind, complex, ...) tuples, so an equal complex held in
+another object finds them too.  The store lives as long as a run: the
+outermost ``with run():`` (or ``@run()`` function) opens it, nested runs
+join it, and it is dropped when that outermost run ends.  Outside a run
+``shared`` just builds.  The store belongs to the context of the thread
+that opened it; a new thread starts outside any run.
 """
 
 from __future__ import annotations
@@ -289,11 +289,88 @@ def full_subcomplex(K: SimplicialComplex, imask: int,
 
 def _restrict(K: SimplicialComplex, imask: int, jmask: int) -> SimplicialComplex:
     shift = imask.bit_count()
-    restricted = _maximal(f & (imask | jmask) for f in K.facets)
     return SimplicialComplex(
         shift + jmask.bit_count(),
         tuple(_compress(f, imask) | _compress(f, jmask) << shift
-              for f in restricted), _trusted=True)
+              for f in _restricted_facets(K, imask | jmask)), _trusted=True)
+
+
+def _restricted_facets(K: SimplicialComplex, mask: int) -> list[int]:
+    """Facets of K restricted to mask, unrelabelled.
+
+    A facet of K inside mask stays a facet, so only the cut facets f & mask
+    are tested, largest first, against the facets kept so far.
+    """
+    kept = [f for f in K.facets if f & ~mask == 0]
+    cut = {f & mask for f in K.facets if f & ~mask}
+    for g in sorted(cut, key=int.bit_count, reverse=True):
+        if not any(g & ~h == 0 for h in kept):
+            kept.append(g)
+    return kept
+
+
+def core_mask(K: SimplicialComplex) -> int:
+    """Vertex mask J of a strong-collapse core of K, whose core is K_J.
+
+    A vertex v is dominated when the AND of the facets that contain v has a
+    bit other than v: some u lies in every facet through v.  Deleting a
+    dominated vertex is a strong deformation retraction (Barmak and Minian,
+    "Strong homotopy types, nerves and collapses", Discrete Comput. Geom. 47
+    (2012)) and leaves K restricted to the other vertices, so K_J has the
+    homotopy type of K and the same homology over every ring.  The core is
+    unique up to isomorphism, whatever order the deletions take.
+
+    The facets are kept per vertex.  Deleting v turns each facet f through v
+    into f - v, kept only if no facet through the dominator u contains it
+    (any facet that does contains u); then only the vertices that shared a
+    facet with v are checked again, since no other vertex's facets changed.
+    Ghost vertices are never in J, and {()} gives J = 0.
+    """
+    through: dict[int, set[int]] = {}   # vertex bit -> facets containing it
+    for f in K.facets:
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            through.setdefault(low, set()).add(f)
+    work = sorted(through, reverse=True)    # a stack, lowest vertex on top
+    queued = set(work)
+    while work:
+        v = work.pop()
+        queued.discard(v)
+        facets = through[v]
+        common = -1
+        for f in facets:
+            common &= f
+        common ^= v
+        if not common:
+            continue
+        del through[v]
+        neighbours = 0
+        for f in facets:
+            neighbours |= f
+            rest = f ^ v
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                through[low].discard(f)
+        dominating = through[common & -common]
+        for f in facets:
+            g = f ^ v
+            if not any(g & ~h == 0 for h in dominating):
+                rest = g
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    through[low].add(g)
+        neighbours ^= v
+        while neighbours:
+            low = neighbours & -neighbours
+            neighbours ^= low
+            if low not in queued:
+                queued.add(low)
+                work.append(low)
+    return sum(through)
 
 
 def _compress(mask: int, imask: int) -> int:

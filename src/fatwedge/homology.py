@@ -18,6 +18,16 @@ A chain complex reduces itself over Z once, on first use, and keeps that
 reduction and the profile of every ring it is asked for, so every ring shares
 one reduction.  The reductions are safe to share between threads under the
 GIL (worst case a profile is computed twice with equal values).
+
+The homology of a simplicial complex K is read off its strong-collapse core
+K_J (``complexes.core_mask``): deleting a dominated vertex is a strong
+deformation retraction (Barmak and Minian, "Strong homotopy types, nerves and
+collapses", Discrete Comput. Geom. 47 (2012)), so the core has the homology of
+K over every ring, and every contractible complex has a point for its core.
+So ``reduced_homology`` and all that rests on it (full-subcomplex profiles,
+acyclicity, hodim and dK, both Golod oracles, the simplicial side of the
+Hochster identity) reduce the chains of cores.  Homology bases and the
+inclusion test need the cells of K itself and take its own chain complex.
 """
 
 from __future__ import annotations
@@ -25,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import SimplicialComplex, full_subcomplex, run, shared, verts
+from .complexes import (SimplicialComplex, core_mask, full_subcomplex, run,
+                        shared, verts)
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
                   prime_factors, rank_mod_p, smith_normal_form)
 
@@ -337,11 +348,22 @@ def simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
 
 
 def reduced_homology(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:
-    return chain_homology(simplicial_chain_complex(K), ring)
+    """Reduced homology of K, computed on the chains of its strong-collapse
+    core K_J (``complexes.core_mask``), which has the homotopy type of K.
+
+    The run keeps J under ("core", K); a complex with no dominated vertex
+    and no ghost is its own core, so it shares its chains with every caller
+    that needs the cells of K itself.
+    """
+    J = shared(("core", K), lambda: core_mask(K))
+    core = K if J == (1 << K.m) - 1 else full_subcomplex(K, J)
+    return chain_homology(simplicial_chain_complex(core), ring)
 
 
 def full_subcomplex_homology(K: SimplicialComplex, imask: int,
                              ring: CoefficientRing = ZZ) -> HomologyProfile:
+    """H~(K_I), read off the strong-collapse core of K_I like every reduced
+    homology; equal full subcomplexes share one core and one reduction."""
     return reduced_homology(full_subcomplex(K, imask), ring)
 
 

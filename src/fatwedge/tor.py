@@ -24,8 +24,11 @@ homology (which leaves out every cone factor), and builds a join only for a
 source degree where the Kunneth formula gives the join nonzero homology
 there; it checks each join it builds against that prediction and keeps none
 in the run's store.  The gate reads the full-subcomplex homology, as the Tor
-oracle does; the cubical side of the Hochster identity checks that homology
-independently.
+oracle does.  That homology is reduced on strong-collapse cores, and three
+checks that never read a core check it: the cubical side of the Hochster
+identity, the rank check of every Koszul piece basis against it, and the
+Kunneth check of every join built.  Both oracles walk the disjoint pairs of
+full subcomplexes with homology through one generator, ``_disjoint_pairs``.
 The Tor oracle takes the cohomology dimensions of the pieces from Hochster's
 formula and builds only the pieces its products touch, checking each basis it
 builds against those dimensions; the Hochster check (tor_dimensions) builds
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .complexes import (SimplicialComplex, full_subcomplex, join, run, shared,
-                        verts)
+                        subsets_of, verts)
 from .homology import (ChainComplex, CoefficientRing, ZZ, HomologyBasis,
                        HomologyProfile, build_simplicial_chain_complex,
                        chain_homology, full_subcomplex_homology,
@@ -252,27 +255,27 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
     hot = sorted(dims, key=verts)
     # (t, dim) pairs in ascending t, as nonzero_degrees lists them
     degrees = {imask: tuple(dims[imask].items()) for imask in hot}
-    for ai, imask in enumerate(hot):
-        for jmask in hot[ai + 1:]:
-            if imask & jmask:
-                continue
-            for t1, n1 in degrees[imask]:
-                for t2, n2 in degrees[jmask]:
-                    if not dims.get(imask | jmask, {}).get(t1 + t2):
-                        continue
-                    hb1, hb2 = basis(imask, t1), basis(jmask, t2)
-                    basis(imask | jmask, t1 + t2)    # checks the target too
-                    for g1 in range(n1):
-                        for g2 in range(n2):
-                            if not alg.product_class_is_zero(
-                                    imask, t1, hb1.generators[g1],
-                                    jmask, t2, hb2.generators[g2]):
-                                w = (verts(imask), t1, g1, verts(jmask), t2, g2)
-                                txt = (f"class {g1} of multidegree {verts(imask)} "
-                                       f"(degree {t1}) times class {g2} of "
-                                       f"multidegree {verts(jmask)} (degree {t2}) "
-                                       f"is nonzero in degree {t1 + t2}")
-                                return GolodVerdict(False, field, "tor", w, txt)
+    for imask, jmask in _disjoint_pairs(hot, K.m):
+        target = dims.get(imask | jmask)
+        if target is None:
+            continue
+        for t1, n1 in degrees[imask]:
+            for t2, n2 in degrees[jmask]:
+                if not target.get(t1 + t2):
+                    continue
+                hb1, hb2 = basis(imask, t1), basis(jmask, t2)
+                basis(imask | jmask, t1 + t2)    # checks the target too
+                for g1 in range(n1):
+                    for g2 in range(n2):
+                        if not alg.product_class_is_zero(
+                                imask, t1, hb1.generators[g1],
+                                jmask, t2, hb2.generators[g2]):
+                            w = (verts(imask), t1, g1, verts(jmask), t2, g2)
+                            txt = (f"class {g1} of multidegree {verts(imask)} "
+                                   f"(degree {t1}) times class {g2} of "
+                                   f"multidegree {verts(jmask)} (degree {t2}) "
+                                   f"is nonzero in degree {t1 + t2}")
+                            return GolodVerdict(False, field, "tor", w, txt)
     return GolodVerdict(True, field, "tor")
 
 
@@ -304,24 +307,43 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
             profiles[imask] = prof
             degrees[imask] = prof.nonzero_degrees()
     hot = sorted(profiles, key=verts)
-    for ai, imask in enumerate(hot):
-        a = degrees[imask]
-        for jmask in hot[ai + 1:]:
-            if imask & jmask:
-                continue
-            src = degrees.get(imask | jmask)
-            b = degrees[jmask]
-            # the Kunneth target lives in degrees a0 + b0 + 1 .. a1 + b1 + 2
-            if src is None or src[-1] <= a[0] + b[0] or \
-                    src[0] > a[-1] + b[-1] + 2:
-                continue
-            q = _join_pair_nonzero(K, imask, jmask, profiles, ring)
-            if q is not None:
-                w = (verts(imask), verts(jmask), q)
-                txt = (f"inclusion of K_I(union)J into K_I * K_J is nonzero on "
-                       f"H~_{q} for I={verts(imask)}, J={verts(jmask)}")
-                return GolodVerdict(False, ring, "join", w, txt)
+    for imask, jmask in _disjoint_pairs(hot, K.m):
+        src = degrees.get(imask | jmask)
+        a, b = degrees[imask], degrees[jmask]
+        # the Kunneth target lives in degrees a0 + b0 + 1 .. a1 + b1 + 2
+        if src is None or src[-1] <= a[0] + b[0] or \
+                src[0] > a[-1] + b[-1] + 2:
+            continue
+        q = _join_pair_nonzero(K, imask, jmask, profiles, ring)
+        if q is not None:
+            w = (verts(imask), verts(jmask), q)
+            txt = (f"inclusion of K_I(union)J into K_I * K_J is nonzero on "
+                   f"H~_{q} for I={verts(imask)}, J={verts(jmask)}")
+            return GolodVerdict(False, ring, "join", w, txt)
     return GolodVerdict(True, ring, "join")
+
+
+def _disjoint_pairs(hot: list[int], m: int):
+    """Each pair (I, J) of masks in hot with J after I and disjoint from it,
+    in the order of I, then of J, in hot.
+
+    For each I the cheaper source of J is walked: the 2^(m - |I|) subsets
+    of the complement of I, looked up in hot, or the rest of hot.  So a
+    complex whose homology sits on few full subcomplexes does not pay 3^m,
+    and one where most carry homology does not test every overlapping pair.
+    """
+    full = (1 << m) - 1
+    position = {mask: k for k, mask in enumerate(hot)}
+    for ai, imask in enumerate(hot):
+        if 1 << (m - imask.bit_count()) < len(hot) - ai - 1:
+            later = sorted(k for k in map(position.get, subsets_of(full ^ imask))
+                           if k is not None and k > ai)
+            for k in later:
+                yield imask, hot[k]
+        else:
+            for jmask in hot[ai + 1:]:
+                if not imask & jmask:
+                    yield imask, jmask
 
 
 def _join_pair_nonzero(K, imask: int, jmask: int, profiles,

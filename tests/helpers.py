@@ -19,7 +19,8 @@ from fatwedge.complexes import (SimplicialComplex, full_subcomplex, join,
 from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
                                _Budget, _face_set, _has_gcd_witnesses, is_scm)
 from fatwedge.homology import (QQ, ZZ, CoefficientRing, HomologyBasis,
-                               reduced_homology, simplicial_chain_complex)
+                               HomologyProfile, reduced_homology,
+                               simplicial_chain_complex)
 from fatwedge.rmac import build_rmac
 from fatwedge.tor import _merge_sign
 
@@ -52,6 +53,25 @@ def random_two_complex(rng: random.Random, max_m: int = 7, min_m: int = 3):
     gens = [[v] for v in range(1, m + 1)]
     for _ in range(rng.randint(1, 2 * m)):
         gens.append(rng.sample(range(1, m + 1), rng.choice((2, 3))))
+    return make_complex(m, gens)
+
+
+RP2_6 = make_complex(6, [[2, 3, 4], [3, 4, 5], [1, 3, 5], [1, 2, 5],
+                         [2, 5, 6], [2, 3, 6], [1, 3, 6], [1, 4, 6],
+                         [1, 2, 4], [4, 5, 6]])
+
+
+def rp2_with_cones(rng: random.Random, cones: int = 3) -> SimplicialComplex:
+    """RP^2 on six vertices with up to ``cones`` new apexes, each coned over
+    a few random faces of what is there so far: torsion that cones may kill,
+    keep or move, and dominated vertices around a core with torsion."""
+    gens = [list(verts(f)) for f in RP2_6.facets]
+    m = 6
+    for _ in range(rng.randint(0, cones)):
+        m += 1
+        for _ in range(rng.randint(1, 4)):
+            face = rng.choice(gens)
+            gens.append(rng.sample(face, rng.randint(1, len(face))) + [m])
     return make_complex(m, gens)
 
 
@@ -480,6 +500,57 @@ def naive_is_boundary(K: SimplicialComplex, q: int, z: list[int],
     if ring == QQ:
         return len(naive_snf_divisors(both)) == len(naive_snf_divisors(up))
     return naive_rank_mod_p(both, ring.p) == naive_rank_mod_p(up, ring.p)
+
+
+def naive_homology(K: SimplicialComplex, ring: CoefficientRing):
+    """Reduced homology of K's own cells from dense boundary matrices: ranks
+    by the naive Smith reduction over Z and Q, by Gaussian elimination over
+    Z/p, and torsion from the divisors of d_{q+1} over Z."""
+    def rank(q):
+        mat = dense_boundary(K, q)
+        if ring.kind == "Zp":
+            return naive_rank_mod_p(mat, ring.p)
+        return len(naive_snf_divisors(mat))
+
+    free, torsion = {}, {}
+    for q in range(-1, K.dim + 1):
+        free[q] = len(K.faces(q)) - rank(q) - rank(q + 1)
+        if ring == ZZ:
+            torsion[q] = [d for d in naive_snf_divisors(dense_boundary(K, q + 1))
+                          if d > 1]
+    return HomologyProfile(ring, free, torsion)
+
+
+def dominated_vertices(K: SimplicialComplex) -> list[int]:
+    """Vertices v such that some other vertex lies in every facet through v."""
+    out = []
+    for v in K.vertices:
+        common = (1 << K.m) - 1
+        for f in K.facets:
+            if f >> (v - 1) & 1:
+                common &= f
+        if common != 1 << (v - 1):
+            out.append(v)
+    return out
+
+
+def naive_core(K: SimplicialComplex) -> SimplicialComplex:
+    """A strong-collapse core by repeated deletion of the first dominated
+    vertex, with a fresh scan after each deletion."""
+    while True:
+        dominated = dominated_vertices(K)
+        if not dominated:
+            return K
+        K = deletion(K, [dominated[0]])
+
+
+def nested_disjoint_pairs(hot: list[int]):
+    """Each pair (I, J) of hot with J after I and disjoint from it, by the
+    nested walk over every pair."""
+    for ai, imask in enumerate(hot):
+        for jmask in hot[ai + 1:]:
+            if not imask & jmask:
+                yield imask, jmask
 
 
 def _permutation_sign(seq) -> int:

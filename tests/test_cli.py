@@ -269,6 +269,20 @@ class TestCommands:
         assert code == 0 and {"certify_rule", "certify_verdict"} <= keys
         assert len(calls) == 1
 
+    def test_corpus_verify_builds_one_golod_report(self, capsys, monkeypatch):
+        # the golod check reads the certificate's report
+        calls, real = [], certify.golod_report
+
+        def spy(K):
+            calls.append(K)
+            return real(K)
+
+        monkeypatch.setattr(certify, "golod_report", spy)
+        code, out = run(capsys, "corpus", "c4", "--verify")
+        got = {c["key"]: c["got"] for c in out["checks"]}
+        assert code == 0 and out["all_ok"] and got["golod"] is False
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name", ["../corpus/c4", "nosuch"])
     def test_corpus_rejects_a_name_outside_the_corpus(self, capsys, name):
         code, out = run(capsys, "corpus", name)

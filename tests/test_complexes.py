@@ -4,16 +4,18 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatwedge.complexes import (_STORE, SimplicialComplex, alexander_dual,
-                                boundary_of_simplex, empty_complex,
+from fatwedge.complexes import (_STORE, SimplicialComplex, _maximal,
+                                _restricted_facets, alexander_dual,
+                                boundary_of_simplex, core_mask, empty_complex,
                                 flag_complex, full_subcomplex,
                                 generated_subcomplex, is_chordal, join, link,
                                 make_complex, mask_of, max_neighborliness,
                                 minimal_nonfaces, run, shared, simplex, verts)
-from fatwedge.corpus import berglund_complex
+from fatwedge.corpus import berglund_complex, load
 
-from helpers import (brute_force_faces, deletion, random_complex, star,
-                     with_ground)
+from helpers import (brute_force_faces, deletion, dominated_vertices,
+                     naive_core, random_complex, random_graph,
+                     random_two_complex, rp2_with_cones, star, with_ground)
 
 
 @st.composite
@@ -77,6 +79,84 @@ class TestFullSubcomplex:
             want = {tuple(relabel[v] for v in f)
                     for f in brute_force_faces(K) if set(f) <= set(I)}
             assert brute_force_faces(sub) == want
+
+
+    def test_restricted_facets_are_the_maximal_ones(self):
+        # every I, and 20 sampled disjoint (I, J), on 200 seeded complexes,
+        # every third with a ghost vertex added
+        rng = random.Random(2020)
+        for k in range(200):
+            K = random_complex(rng, max_m=7)
+            if k % 3 == 0:
+                K = with_ground(K, K.m + 1)
+            full = (1 << K.m) - 1
+            masks = list(range(1 << K.m))
+            for _ in range(20):
+                imask = rng.randrange(1, 1 << K.m)
+                masks.append(imask | rng.randrange(1 << K.m) & full & ~imask)
+            for mask in masks:
+                got = _restricted_facets(K, mask)
+                assert len(got) == len(set(got))
+                assert set(got) == set(_maximal(f & mask for f in K.facets)), \
+                    (K, verts(mask))
+
+
+def _core(K):
+    return full_subcomplex(K, core_mask(K))
+
+
+def _seeded_cores():
+    """400 seeded complexes of four kinds, every third with a ghost vertex
+    added, then rp2_6 and berglund_10."""
+    rng = random.Random(2012)
+    cases = []
+    for _ in range(100):
+        cases += [random_complex(rng, max_m=7), random_two_complex(rng),
+                  flag_complex(random_graph(rng)), rp2_with_cones(rng)]
+    cases = [with_ground(K, K.m + 1) if k % 3 == 0 else K
+             for k, K in enumerate(cases)]
+    return rng, cases + [load("rp2_6").complex(), berglund_complex()]
+
+
+class TestStrongCollapseCore:
+    def test_core_is_a_full_subcomplex_with_no_dominated_vertex(self):
+        # and its f-vector is that of a core found by rescanning after every
+        # deletion, so the worklist reached a core, and the same one up to
+        # isomorphism
+        for K in _seeded_cores()[1]:
+            J = core_mask(K)
+            assert J & ~K.support == 0
+            core = _core(K)
+            assert dominated_vertices(core) == [], K
+            assert core.f_vector() == naive_core(K).f_vector(), K
+
+    def test_relabelling_gives_a_core_of_the_same_f_vector(self):
+        rng, cases = _seeded_cores()
+        for K in cases[:150]:
+            want = _core(K).f_vector()
+            for _ in range(3):
+                perm = list(range(1, K.m + 1))
+                rng.shuffle(perm)
+                L = make_complex(K.m, [[perm[v - 1] for v in verts(f)]
+                                       for f in K.facets])
+                assert _core(L).f_vector() == want, (K, perm)
+
+    def test_named_cores(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            cone = join(random_complex(rng, max_m=5), simplex(1))
+            assert core_mask(cone).bit_count() == 1, cone
+        rp2 = load("rp2_6").complex()
+        assert core_mask(rp2) == (1 << 6) - 1
+        assert _core(with_ground(rp2, 8)) == rp2
+        assert core_mask(C4) == 0b1111 and _core(C4) == C4
+        assert core_mask(empty_complex(3)) == 0
+        assert _core(empty_complex(3)) == empty_complex(1)
+        n = 2401
+        path = make_complex(n, [[v, v + 1] for v in range(1, n)])
+        assert core_mask(path).bit_count() == 1
+        # two points with a ghost: nothing to delete but the ghost
+        assert core_mask(make_complex(3, [[1], [3]])) == 0b101
 
 
 class TestLinkDeletionStar:

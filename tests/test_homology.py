@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
-                                empty_complex, full_subcomplex, join,
-                                make_complex, mask_of, run, simplex, verts)
+                                empty_complex, flag_complex, full_subcomplex,
+                                join, make_complex, mask_of, run, simplex,
+                                verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
 from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis,
                                build_simplicial_chain_complex, chain_homology,
-                               dK, hodim, is_i_acyclic, is_zero_on_homology,
+                               dK, full_subcomplex_homology, hodim,
+                               is_i_acyclic, is_zero_on_homology,
                                reduced_homology, simplicial_chain_complex)
 from fatwedge.snf import complex_rank_divisors
 
-from helpers import (dense_boundary, naive_is_boundary, naive_rank_mod_p,
-                     random_complex, with_ground)
+from helpers import (dense_boundary, naive_homology, naive_is_boundary,
+                     naive_rank_mod_p, random_complex, random_graph,
+                     random_two_complex, rp2_with_cones, with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -106,6 +109,55 @@ class TestReducedHomology:
                             - naive_rank_mod_p(dense_boundary(K, q), p)
                             - naive_rank_mod_p(dense_boundary(K, q + 1), p))
                     assert prof.betti(q) == want, (K, p, q)
+
+
+def _core_cases():
+    """1,100 seeded complexes of four kinds (RP^2 with cones for torsion),
+    every third with a ghost vertex added."""
+    rng = random.Random(2012)
+    cases = []
+    for _ in range(275):
+        cases += [random_complex(rng, max_m=7), random_two_complex(rng),
+                  flag_complex(random_graph(rng)), rp2_with_cones(rng)]
+    return [with_ground(K, K.m + 1) if k % 3 == 0 else K
+            for k, K in enumerate(cases)]
+
+
+class TestHomologyOnTheCore:
+    rings = (ZZ, QQ, GF(2), GF(3))
+
+    def test_profile_equals_that_of_the_cells_of_K(self):
+        torsion = 0
+        for K in _core_cases():
+            cc = build_simplicial_chain_complex(K)
+            for ring in self.rings:
+                assert reduced_homology(K, ring) == chain_homology(cc, ring), \
+                    (K, ring)
+            torsion += bool(chain_homology(cc, ZZ).torsion)
+        assert torsion >= 50
+
+    def test_profile_matches_naive_dense_ranks(self):
+        for K in _core_cases()[:120]:
+            for ring in self.rings:
+                assert reduced_homology(K, ring) == naive_homology(K, ring), \
+                    (K, ring)
+
+    def test_a_run_builds_chains_once_per_distinct_core(self, monkeypatch):
+        # the full subcomplexes of a path on six vertices are forests of
+        # paths, whose cores are one, two or three points
+        calls, real = [], homology.build_simplicial_chain_complex
+
+        def counted(K):
+            calls.append(K)
+            return real(K)
+
+        monkeypatch.setattr(homology, "build_simplicial_chain_complex", counted)
+        path = make_complex(6, [[v, v + 1] for v in range(1, 6)])
+        with run():
+            profiles = [full_subcomplex_homology(path, imask, ZZ)
+                        for imask in range(1, 1 << 6)]
+        assert {p.betti(0) for p in profiles} == {0, 1, 2}
+        assert sorted(K.m for K in calls) == [1, 2, 3]
 
 
 class TestOneReductionPerComplex:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (_STORE, boundary_of_simplex, empty_complex,
-                                join, make_complex, run, simplex)
+                                join, make_complex, run, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge.certify import golod_report
 from fatwedge import tor
@@ -15,8 +15,9 @@ from fatwedge.homology import (GF, QQ, ZZ, HomologyProfile, chain_homology,
 from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
                           hochster_tor_check, tor_dimensions, torsion_primes)
 
-from helpers import (TorBasisElement, basis_product, random_complex,
-                     reference_golod_via_join, verify_leibniz, with_ground)
+from helpers import (TorBasisElement, basis_product, nested_disjoint_pairs,
+                     random_complex, reference_golod_via_join, verify_leibniz,
+                     with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -357,6 +358,42 @@ class TestKunnethGate:
             assert built and _STORE.get()
             gc.collect()
             assert all(ref() is None for ref in built)
+
+
+class TestDisjointPairWalk:
+    def test_pairs_match_the_nested_walk(self):
+        # sparse and dense families, so both sources of J are walked
+        rng = random.Random(1300)
+        for _ in range(300):
+            m = rng.randint(1, 9)
+            k = rng.randint(1, (1 << m) - 1)
+            hot = sorted(rng.sample(range(1, 1 << m), k), key=verts)
+            assert list(tor._disjoint_pairs(hot, m)) == \
+                list(nested_disjoint_pairs(hot)), (m, hot)
+
+    def test_verdicts_and_witnesses_match_the_nested_walk(self, monkeypatch):
+        # 300 seeded complexes, every third with a ghost vertex added: Tor
+        # over Q and Z/2, join over Z
+        rng = random.Random(1301)
+        cases = []
+        for k in range(300):
+            K = random_complex(rng, max_m=7)
+            cases.append(with_ground(K, K.m + 1) if k % 3 == 0 else K)
+
+        def verdicts():
+            out = []
+            for K in cases:
+                with run():
+                    vs = (golod_via_tor(K, QQ), golod_via_tor(K, GF(2)),
+                          golod_via_join(K, ZZ))
+                out.append([(v.golod, v.witness_text) for v in vs])
+            return out
+
+        got = verdicts()
+        monkeypatch.setattr(tor, "_disjoint_pairs",
+                            lambda hot, m: nested_disjoint_pairs(hot))
+        assert got == verdicts()
+        assert sum(not golod for row in got for golod, _ in row) >= 100
 
 
 class TestJoinOracleReference:
