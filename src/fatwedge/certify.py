@@ -29,7 +29,7 @@ from .complexes import (SimplicialComplex, flag_complex, max_neighborliness,
                         verts)
 from .criteria import DEFAULT_BUDGET, is_dual_scm
 from .homology import (CoefficientRing, GF, QQ, ZZ, HomologyProfile, dK,
-                       full_subcomplex_homology)
+                       full_subcomplex_profiles)
 from .tor import GolodVerdict, golod_via_join, golod_via_tor, torsion_primes
 
 RULE_DIM = "DIM_GE_M_MINUS_2"
@@ -69,7 +69,16 @@ class GolodReport:
 def golod_report(K: SimplicialComplex) -> GolodReport:
     """Golodness over Z in the decidable sense: over Q and over Z/p for every
     prime p dividing torsion of some full-subcomplex homology (2 and 3 are
-    always included as a floor), plus the chain-level join oracle over Z."""
+    always included as a floor), plus the chain-level join oracle over Z.
+
+    Where no H~(K_I; Z) has p-torsion, Z/p cannot fail where Q passes.  By
+    universal coefficients the Z/p table of ``full_subcomplex_profiles`` is
+    then the Q table, and by Hochster's formula no integral Koszul piece C
+    has p-torsion in H(C), so reduction H(C) -> H(C; Z/p) is multiplicative,
+    onto, and injective on H(C) (x) Z/p.  A product over Z/p is thus the
+    reduction of an integral product xy, which Golod over Q makes torsion of
+    order n prime to p: xy (x) 1 = (n xy) (x) a = 0 for an = 1 mod p.
+    """
     primes = tuple(sorted(set(torsion_primes(K)) | {2, 3}))
     join_z = golod_via_join(K, ZZ)
     tor_q = golod_via_tor(K, QQ)
@@ -332,12 +341,13 @@ class WedgeReport:
         }
 
 
+@run()
 def bbcg_summands(K: SimplicialComplex, spaces, ring: CoefficientRing = ZZ,
                   certificate: TrivialityCertificate | None = None) -> WedgeReport:
     """Homology of the wedge summands Sigma|K_I| smash X^I, one per nonempty
     subset I, with torsion of the subcomplex homology carried through the
-    degree shifts.  Only nonzero summands are listed; the aggregate always
-    sums all of them.
+    degree shifts.  Only the I of the full-subcomplex table (H~(K_I) nonzero)
+    are visited; the nonzero summands are listed, and the aggregate sums them.
 
     spaces is one SpacePoincare per vertex.  The desuspended flag is true
     exactly when a triviality certificate with verdict "trivial" accompanies
@@ -349,7 +359,7 @@ def bbcg_summands(K: SimplicialComplex, spaces, ring: CoefficientRing = ZZ,
     summands = []
     torsion_free = True
     parts = []
-    for imask in range(1, 1 << K.m):
+    for imask, base in full_subcomplex_profiles(K, ring).items():
         poly: tuple[int, ...] = (1,)
         rem = imask
         while rem:
@@ -357,9 +367,6 @@ def bbcg_summands(K: SimplicialComplex, spaces, ring: CoefficientRing = ZZ,
             rem ^= low
             poly = _poly_mul(poly, tuple(spaces[low.bit_length() - 1].betti))
         if not any(poly):
-            continue
-        base = full_subcomplex_homology(K, imask, ring)
-        if base.is_trivial():
             continue
         free: dict[int, int] = {}
         tors: dict[int, list[int]] = {}

@@ -16,9 +16,9 @@ memoized per dimension on first use, which is safe to share between threads
 under the GIL (worst case the cache is filled twice with equal values).
 
 Results that equal complexes share -- full subcomplexes, strong-collapse
-core masks, simplicial chain complexes with their reductions, Koszul pieces
-and their cohomology bases per field, component fill reports -- live in one
-store, keyed by (kind, complex, ...) tuples, so an equal complex held in
+cores, simplicial chain complexes with their integral profiles, the table of
+full-subcomplex homology per ring, Koszul pieces and their cohomology bases
+per field, component fill reports -- live in one store, keyed by (kind, complex, ...) tuples, so an equal complex held in
 another object finds them too.  The store lives as long as a run: the
 outermost ``with run():`` (or ``@run()`` function) opens it, nested runs
 join it, and it is dropped when that outermost run ends.  Outside a run

@@ -6,28 +6,26 @@ homology and degree -1 genuinely exists (the empty complex has nontrivial
 H in degree -1, which Hochster-type sums rely on).
 
 Boundary matrices are kept column-sparse.  Bulk invariants go through the
-one sparse integral eliminator in ``snf``: a single reduction gives the
-Smith divisors of every boundary map, and the ranks over Q and Z/p are read
-off them.  Homology bases with representative cycles, needed to test
-inclusions of subcomplexes and Tor products for zero, are read off two
-dense transform-carrying Smith forms over Z, on the small complexes where
-classes are actually tested; the same two forms give the bases over Z, Q
-and Z/p, with integer generators and coordinates for every ring.
-
-A chain complex reduces itself over Z once, on first use, and keeps that
-reduction and the profile of every ring it is asked for, so every ring shares
-one reduction.  The reductions are safe to share between threads under the
-GIL (worst case a profile is computed twice with equal values).
+one sparse integral eliminator in ``snf``: one reduction gives the Smith
+divisors of every boundary map, hence the integral profile, which the
+complex keeps; every field is read off it by universal coefficients
+(``HomologyProfile.over``).  Homology bases with representative cycles,
+needed to test inclusions of subcomplexes and Tor products for zero, are
+read off two dense transform-carrying Smith forms over Z, on the small
+complexes where classes are actually tested; the same two forms give the
+bases over Z, Q and Z/p, and each basis checks its rank against the profile.
 
 The homology of a simplicial complex K is read off its strong-collapse core
-K_J (``complexes.core_mask``): deleting a dominated vertex is a strong
-deformation retraction (Barmak and Minian, "Strong homotopy types, nerves and
-collapses", Discrete Comput. Geom. 47 (2012)), so the core has the homology of
-K over every ring, and every contractible complex has a point for its core.
-So ``reduced_homology`` and all that rests on it (full-subcomplex profiles,
-acyclicity, hodim and dK, both Golod oracles, the simplicial side of the
-Hochster identity) reduce the chains of cores.  Homology bases and the
-inclusion test need the cells of K itself and take its own chain complex.
+K_J (``complexes.core_mask``), kept by the run under ("core", K): deleting a
+dominated vertex is a strong deformation retraction (Barmak and Minian,
+"Strong homotopy types, nerves and collapses", Discrete Comput. Geom. 47
+(2012)), so the core has the homology of K over every ring, and every
+contractible complex has a point for its core.  The homology of all full
+subcomplexes is one table per complex and ring, ``full_subcomplex_profiles``,
+which every loop over the 2^m subsets reads (hodim and dK, torsion primes,
+both Golod oracles, the simplicial sides of both Hochster identities, the
+BBCG summands).  Homology bases and the inclusion test need the cells of K
+itself and take its own chain complex.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 from .complexes import (SimplicialComplex, core_mask, full_subcomplex, run,
                         shared, verts)
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
-                  prime_factors, rank_mod_p, smith_normal_form)
+                  prime_factors, smith_normal_form)
 
 # Tally of boundary-squared verifications, one per chain complex constructed
 # (simplicial, cubical or Koszul); the acceptance suite reads this to confirm
@@ -102,20 +100,18 @@ class ChainComplex:
     basis[q] is the tuple of cell labels in degree q; boundary[q][j] maps the
     j-th cell of degree q to a {row: coeff} combination of degree q-1 cells.
     d(d(x)) = 0 is verified at construction and a violation raises.
-    The integral reduction and the profile of each ring are memoized on first
-    use by ``chain_homology``.
+    The integral profile is computed on first use by ``chain_homology`` and
+    kept.
     """
 
-    __slots__ = ("basis", "boundary", "_index", "_rank_divisors", "_profiles",
-                 "__weakref__")
+    __slots__ = ("basis", "boundary", "_index", "_profile", "__weakref__")
 
     def __init__(self, basis: Mapping[int, Sequence], boundary: Mapping[int, Sequence[dict]]):
         self.basis = {q: tuple(cells) for q, cells in basis.items() if len(cells) > 0}
         self.boundary = {q: tuple(cols) for q, cols in boundary.items()
                          if q in self.basis and (q - 1) in self.basis}
         self._index: dict[int, dict] = {}
-        self._rank_divisors = None
-        self._profiles: dict[CoefficientRing, HomologyProfile] = {}
+        self._profile: HomologyProfile | None = None
         for q, cols in self.boundary.items():
             if len(cols) != len(self.basis[q]):
                 raise ValueError(f"boundary in degree {q} has wrong column count")
@@ -262,6 +258,28 @@ class HomologyProfile:
                 ps.update(prime_factors(d))
         return tuple(sorted(ps))
 
+    def over(self, ring: CoefficientRing) -> "HomologyProfile":
+        """This integral profile over ``ring`` by universal coefficients:
+        over Q the free part; over Z/p also, for each invariant factor of H_q
+        that p divides, one class in degree q and one in degree q + 1."""
+        if ring == self.ring:
+            return self
+        if self.ring != ZZ:
+            raise ValueError(f"cannot read {self.ring} homology over {ring}")
+        free = dict(self.free)
+        if ring.kind == "Zp":
+            for q, ds in self.torsion.items():
+                k = sum(1 for d in ds if d % ring.p == 0)
+                free[q] = free.get(q, 0) + k
+                free[q + 1] = free.get(q + 1, 0) + k
+        return HomologyProfile(ring, free)
+
+    def hodim(self) -> int | None:
+        """Largest q with H~_q(-; A) != 0 for some finitely generated A, or
+        None: by universal coefficients the largest free degree or torsion
+        degree + 1."""
+        return max([*self.free, *(q + 1 for q in self.torsion)], default=None)
+
     def to_json(self) -> list[dict]:
         out = []
         for q in self.nonzero_degrees():
@@ -294,28 +312,21 @@ class HomologyProfile:
 # -- profiles of chain complexes --------------------------------------------
 
 def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
-    """Reduced homology profile of an augmented chain complex."""
-    prof = cc._profiles.get(ring)
-    if prof is not None:
-        return prof
-    if cc._rank_divisors is None:
-        cc._rank_divisors = complex_rank_divisors(
+    """Reduced homology profile of an augmented chain complex over ring.
+
+    The integral profile comes from one sparse reduction, made on first use
+    and kept by the complex; every field is read off it (``over``).
+    """
+    prof = cc._profile
+    if prof is None:
+        ranks, divisors = complex_rank_divisors(
             cc.boundary, {q: cc.dim(q) for q in cc.basis})
-    ranks, divisors = cc._rank_divisors
-    if ring.kind == "Zp":
-        ranks = {q: rank_mod_p(ds, ring.p) for q, ds in divisors.items()}
-    free: dict[int, int] = {}
-    torsion: dict[int, list[int]] = {}
-    for q in cc.basis:
-        b = cc.dim(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        if b:
-            free[q] = b
-        if ring.kind == "Z":
-            tors = [d for d in divisors.get(q + 1, ()) if d > 1]
-            if tors:
-                torsion[q] = tors
-    prof = cc._profiles[ring] = HomologyProfile(ring, free, torsion)
-    return prof
+        prof = cc._profile = HomologyProfile(
+            ZZ, {q: cc.dim(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+                 for q in cc.basis},
+            {q: [d for d in divisors.get(q + 1, ()) if d > 1]
+             for q in cc.basis})
+    return prof.over(ring)
 
 
 def build_simplicial_chain_complex(K: SimplicialComplex) -> ChainComplex:
@@ -351,13 +362,17 @@ def reduced_homology(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> Homolo
     """Reduced homology of K, computed on the chains of its strong-collapse
     core K_J (``complexes.core_mask``), which has the homotopy type of K.
 
-    The run keeps J under ("core", K); a complex with no dominated vertex
-    and no ghost is its own core, so it shares its chains with every caller
-    that needs the cells of K itself.
+    The run keeps the core under ("core", K); a complex with no dominated
+    vertex and no ghost is its own core, so it shares its chains with every
+    caller that needs the cells of K itself.
     """
-    J = shared(("core", K), lambda: core_mask(K))
-    core = K if J == (1 << K.m) - 1 else full_subcomplex(K, J)
-    return chain_homology(simplicial_chain_complex(core), ring)
+    return chain_homology(simplicial_chain_complex(
+        shared(("core", K), lambda: _core(K))), ring)
+
+
+def _core(K: SimplicialComplex) -> SimplicialComplex:
+    J = core_mask(K)
+    return K if J == (1 << K.m) - 1 else full_subcomplex(K, J)
 
 
 def full_subcomplex_homology(K: SimplicialComplex, imask: int,
@@ -367,6 +382,25 @@ def full_subcomplex_homology(K: SimplicialComplex, imask: int,
     return reduced_homology(full_subcomplex(K, imask), ring)
 
 
+@run()
+def full_subcomplex_profiles(K: SimplicialComplex,
+                             ring: CoefficientRing = ZZ) -> dict[int, HomologyProfile]:
+    """{I: H~(K_I; ring)} over the nonempty I with nonzero homology, in
+    increasing mask order, kept by the run (callers must not change it).
+    The integral table reads each K_I once (``full_subcomplex_homology``),
+    and the table over a field is read off it (``HomologyProfile.over``).
+    """
+    def build() -> dict[int, HomologyProfile]:
+        if ring == ZZ:
+            table = {I: full_subcomplex_homology(K, I) for I in range(1, 1 << K.m)}
+        else:
+            table = {I: prof.over(ring)
+                     for I, prof in full_subcomplex_profiles(K).items()}
+        return {I: prof for I, prof in table.items() if not prof.is_trivial()}
+
+    return shared(("profiles", K, ring), build)
+
+
 def is_i_acyclic(K: SimplicialComplex, ring: CoefficientRing, i: int) -> bool:
     return reduced_homology(K, ring).is_trivial_up_to(i)
 
@@ -374,28 +408,15 @@ def is_i_acyclic(K: SimplicialComplex, ring: CoefficientRing, i: int) -> bool:
 # -- homology dimension ------------------------------------------------------
 
 def hodim(K: SimplicialComplex) -> int | None:
-    """Largest q with H~_q(K; A) != 0 for some finitely generated A.
-
-    Universal coefficients make this finite: a witness is either free rank in
-    degree q or torsion in degree q or q-1, so hodim is the maximum of the
-    free degrees and (torsion degrees + 1).  Returns None when the complex is
-    acyclic against every coefficient group.
-    """
-    prof = reduced_homology(K, ZZ)
-    cands = list(prof.free)
-    cands.extend(q + 1 for q in prof.torsion)
-    return max(cands) if cands else None
+    """Largest q with H~_q(K; A) != 0 for some finitely generated A, or None
+    (``HomologyProfile.hodim``)."""
+    return reduced_homology(K, ZZ).hodim()
 
 
-@run()
 def dK(K: SimplicialComplex) -> int | None:
     """max over nonempty I of hodim(K_I); None when every K_I is acyclic."""
-    best: int | None = None
-    for imask in range(1, 1 << K.m):
-        h = hodim(full_subcomplex(K, imask))
-        if h is not None and (best is None or h > best):
-            best = h
-    return best
+    return max((prof.hodim() for prof in full_subcomplex_profiles(K).values()),
+               default=None)
 
 
 # -- homology bases and inclusions ------------------------------------------

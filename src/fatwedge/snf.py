@@ -13,9 +13,9 @@ pivots (a unit alone in its column or row) come from a FIFO worklist, the
 coreduction cascade of Mrozek and Batko; they only delete entries, so they
 read the caller's columns in place.  When none is left, the surviving
 columns are copied and the cheapest unit by Markowitz cost comes off a heap
-and is eliminated with fill-in.  Field ranks are read off the divisors:
-over Q the rank is the number of divisors, over Z/p it is ``rank_mod_p``.
-``sparse_rank_divisors`` runs it on one matrix.
+and is eliminated with fill-in.  Its divisors give the integral homology of
+a complex, and ``homology`` reads every field off that by universal
+coefficients.  ``sparse_rank_divisors`` runs it on one matrix.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ def complex_rank_divisors(boundaries, dims):
     of d_q at or above dims[q - 1] raises ValueError.
     Returns (ranks, divisors) dicts indexed by degree: ranks[q] is the rank
     of d_q over Q and divisors[q] its invariant divisors over Z, so ranks[q]
-    == len(divisors[q]) and the rank over Z/p is ``rank_mod_p(divisors[q],
-    p)``.  The columns are read, never modified.
+    == len(divisors[q]) and the rank over Z/p is the number of divisors
+    that p does not divide.  The columns are read, never modified.
 
     A unit entry <d(b), a> = +-1 is eliminated by column operations inside
     d_q alone; the cells a and b then split off as an acyclic summand, so row
@@ -407,21 +407,12 @@ def complex_rank_divisors(boundaries, dims):
     return ranks, divisors
 
 
-def rank_mod_p(divisors, p: int) -> int:
-    """Rank over Z/p of an integer matrix with Smith divisors ``divisors``.
-
-    U @ A @ V = D with U, V unimodular stays an equivalence mod p, so the
-    rank mod p counts the divisors that p does not divide.
-    """
-    return sum(1 for d in divisors if d % p)
-
-
 def sparse_rank_divisors(columns, nrows: int):
     """Rank over Q and invariant divisors over Z of a sparse integer matrix.
 
     columns is a sequence of {row: value} dicts, reduced as the one-map
-    complex d_1 by ``complex_rank_divisors``; the rank over Z/p is
-    ``rank_mod_p`` of the divisors.
+    complex d_1 by ``complex_rank_divisors``; the rank over Z/p is the
+    number of divisors that p does not divide.
     """
     ranks, divisors = complex_rank_divisors({1: columns}, {0: nrows, 1: len(columns)})
     return ranks[1], divisors[1]

@@ -19,20 +19,17 @@ Golodness has two independent oracles here: vanishing of all products of
 positive-degree cohomology classes in this model, and triviality in homology
 of every inclusion of a full subcomplex into the join of two complementary
 pieces.  They compute the same pairing through entirely different chain data.
-The join oracle walks only pairs where K_I, K_J and K_{I u J} all carry
-homology (which leaves out every cone factor), and builds a join only for a
-source degree where the Kunneth formula gives the join nonzero homology
-there; it checks each join it builds against that prediction and keeps none
-in the run's store.  The gate reads the full-subcomplex homology, as the Tor
-oracle does.  That homology is reduced on strong-collapse cores, and three
-checks that never read a core check it: the cubical side of the Hochster
-identity, the rank check of every Koszul piece basis against it, and the
-Kunneth check of every join built.  Both oracles walk the disjoint pairs of
-full subcomplexes with homology through one generator, ``_disjoint_pairs``.
-The Tor oracle takes the cohomology dimensions of the pieces from Hochster's
-formula and builds only the pieces its products touch, checking each basis it
-builds against those dimensions; the Hochster check (tor_dimensions) builds
-every piece, so its Koszul side never reads simplicial chains.
+Both oracles, the torsion primes and the Hochster check read one table of
+full-subcomplex homology per complex and ring (``full_subcomplex_profiles``),
+and both oracles walk its disjoint pairs with homology through one generator,
+``_disjoint_pairs``.  The join oracle builds a join only for a source degree
+where the Kunneth formula gives the join nonzero homology there, checks it
+against that prediction and keeps none in the run's store.  The Tor oracle
+builds only the pieces its products touch, and checks each basis against
+the dimension Hochster's formula gives; the Hochster check (tor_dimensions)
+builds every piece, so its Koszul side never reads simplicial chains.  The
+table is reduced on strong-collapse cores, so these checks, and the cubical
+side of the Hochster identity, never read a core and check it.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .complexes import (SimplicialComplex, full_subcomplex, join, run, shared,
                         subsets_of, verts)
 from .homology import (ChainComplex, CoefficientRing, ZZ, HomologyBasis,
                        HomologyProfile, build_simplicial_chain_complex,
-                       chain_homology, full_subcomplex_homology,
+                       chain_homology, full_subcomplex_profiles,
                        is_zero_on_homology, simplicial_chain_complex)
 
 
@@ -193,21 +190,16 @@ class HochsterTorReport:
 def hochster_tor_check(K: SimplicialComplex, field: CoefficientRing) -> HochsterTorReport:
     """Koszul-model dimensions vs the sum of full-subcomplex cohomology.
 
-    The right side is computed from simplicial chains of every K_I (including
-    I = empty, whose degree -1 class is the unit in degree 0); over a field
-    cohomology and homology dimensions coincide.
+    The right side is read off the full-subcomplex table, plus the unit in
+    degree 0 for I = empty; over a field cohomology and homology dimensions
+    coincide.
     """
     lhs = tor_dimensions(K, field)
-    rhs: dict[int, int] = {}
-    for imask in range(0, 1 << K.m):
-        if imask == 0:
-            rhs[0] = rhs.get(0, 0) + 1
-            continue
-        prof = full_subcomplex_homology(K, imask, field)
-        isize = imask.bit_count()
-        for q in prof.nonzero_degrees():
-            t = q + isize + 1
-            rhs[t] = rhs.get(t, 0) + prof.betti(q)
+    rhs = {0: 1}
+    for imask, prof in full_subcomplex_profiles(K, field).items():
+        for q, b in prof.free.items():
+            t = q + imask.bit_count() + 1
+            rhs[t] = rhs.get(t, 0) + b
     eq = lhs == rhs
     return HochsterTorReport(tuple(sorted(lhs.items())), tuple(sorted(rhs.items())), eq)
 
@@ -233,17 +225,13 @@ def golod_via_tor(K: SimplicialComplex, field: CoefficientRing) -> GolodVerdict:
     only disjoint nonempty pairs are inspected; the lexicographically first
     failing pair of basis classes is reported.  Piece I has dim H^t =
     b_{t-|I|-1}(K_I) by Hochster's formula, read off the full-subcomplex
-    homology a run shares with the other checks.  A piece is built only for a
-    product whose target has cohomology, and every basis built must have the
-    rank Hochster gives it.
+    table.  A piece is built only for a product whose target has
+    cohomology, and every basis built must have the rank Hochster gives it.
     """
     alg = build_tor(K, field)
-    dims: dict[int, dict[int, int]] = {}
-    for imask in range(1, 1 << K.m):
-        prof = full_subcomplex_homology(K, imask, field)
-        if not prof.is_trivial():
-            dims[imask] = {q + imask.bit_count() + 1: prof.betti(q)
-                           for q in prof.nonzero_degrees()}
+    dims = {imask: {q + imask.bit_count() + 1: prof.betti(q)
+                    for q in prof.nonzero_degrees()}
+            for imask, prof in full_subcomplex_profiles(K, field).items()}
 
     def basis(imask: int, t: int) -> HomologyBasis:
         hb = alg.basis(imask, t)
@@ -284,7 +272,7 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
     """Golodness oracle via joins: for every pair of disjoint nonempty
     I, J the inclusion K_{I u J} -> K_I * K_J must vanish in homology.
 
-    Works over Z as well as fields.  Each full-subcomplex profile is read
+    Works over Z as well as fields.  The full-subcomplex table is read
     once, and only pairs where K_I, K_J and K_{I u J} all carry homology are
     walked, in the order of all pairs, so the first witness is the same: an
     acyclic factor makes the join acyclic (a cone factor among them).  In a
@@ -292,20 +280,13 @@ def golod_via_join(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> GolodVer
     (``kunneth_join``) says H~_q(K_I * K_J) is nonzero; elsewhere the map
     vanishes for free.  The join is built only for a pair with such a degree,
     from chains the oracle owns and drops after the pair, and its homology
-    must equal the Kunneth prediction.  The gate reads H~(K_I), as the Tor
-    oracle does; the cubical side of the Hochster identity checks that
-    homology independently.  K_{I u J} is labelled with I below J
+    must equal the Kunneth prediction.  K_{I u J} is labelled with I below J
     (``full_subcomplex(K, I, J)``), which makes it a subcomplex of
     K_I * K_J cell for cell, so each source generator is tested in the join
     unchanged.
     """
-    profiles = {}
-    degrees = {}
-    for imask in range(1, 1 << K.m):
-        prof = full_subcomplex_homology(K, imask, ring)
-        if not prof.is_trivial():
-            profiles[imask] = prof
-            degrees[imask] = prof.nonzero_degrees()
+    profiles = full_subcomplex_profiles(K, ring)
+    degrees = {imask: prof.nonzero_degrees() for imask, prof in profiles.items()}
     hot = sorted(profiles, key=verts)
     for imask, jmask in _disjoint_pairs(hot, K.m):
         src = degrees.get(imask | jmask)
@@ -398,7 +379,5 @@ def torsion_primes(K: SimplicialComplex) -> tuple[int, ...]:
     Join targets contribute no further primes: by the Kunneth formula their
     torsion is built from tensor and Tor of the factors' groups.
     """
-    ps: set[int] = set()
-    for imask in range(1, 1 << K.m):
-        ps.update(full_subcomplex_homology(K, imask, ZZ).torsion_primes())
-    return tuple(sorted(ps))
+    return tuple(sorted({p for prof in full_subcomplex_profiles(K).values()
+                         for p in prof.torsion_primes()}))

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -16,8 +17,10 @@ from fatwedge.complexes import (SimplicialComplex, boundary_of_simplex,
 from fatwedge.corpus import berglund_complex, corpus_names, load
 from fatwedge.criteria import (fill_search, is_dual_scm, is_dual_shellable,
                                is_homology_fillable)
-from fatwedge.homology import ZZ, reduced_homology
+from fatwedge.homology import (GF, QQ, ZZ, full_subcomplex_profiles,
+                               reduced_homology)
 from fatwedge.rmac import build_rmac, cubical_homology, hochster_identity_check
+from fatwedge.tor import torsion_primes
 
 from helpers import (random_complex, random_graph, random_two_complex,
                      with_ground)
@@ -205,6 +208,63 @@ class TestGolodReport:
     def test_rp2_includes_torsion_prime(self):
         rep = golod_report(RP2)
         assert 2 in rep.primes and rep.golod
+
+    def test_one_homology_read_per_subset(self, monkeypatch):
+        # one integral table serves the torsion primes, the join oracle over
+        # Z, the Tor oracle over Q, Z/2 and Z/3, dK, the rules and the BBCG
+        # summands
+        reads = _full_subcomplex_reads(monkeypatch)
+        for K in (C4, PATH, RP2, UNKNOWN, berglund_complex()):
+            every = list(range(1, 1 << K.m))
+            circles = [SpacePoincare.sphere(1)] * K.m
+            for call in (lambda: certify_fwf_trivial(K),
+                         lambda: certify_fwf_trivial(K, all_rules=True),
+                         lambda: golod_report(K),
+                         lambda: bbcg_summands(K, circles)):
+                reads.clear()
+                call()
+                assert sorted(reads) == every, K
+
+    def test_prime_fields_follow_q_without_torsion(self):
+        # with no p-torsion in any K_I the Z/p table is the Q table, and
+        # Golod over Q implies Golod over Z/p (golod_report's docstring);
+        # on these seeds the converse holds too
+        rng = random.Random(23)
+        verdicts = []
+        for _ in range(80):
+            for K in (random_complex(rng, max_m=7), random_two_complex(rng),
+                      flag_complex(random_graph(rng, max_m=7))):
+                with run():
+                    if torsion_primes(K):
+                        continue
+                    over_q = full_subcomplex_profiles(K, QQ)
+                    for p in (2, 3):
+                        over_p = full_subcomplex_profiles(K, GF(p))
+                        assert over_p.keys() == over_q.keys(), K
+                        assert all(over_p[I].free == prof.free
+                                   for I, prof in over_q.items()), K
+                    rep = golod_report(K)
+                assert [p for p, _ in rep.tor_mod_p] == [2, 3]
+                for _, v in rep.tor_mod_p:
+                    assert v.golod == rep.tor_over_Q.golod, K
+                verdicts.append(rep.tor_over_Q.golod)
+        assert len(verdicts) >= 200 and 30 <= verdicts.count(False) < 200
+
+
+def _full_subcomplex_reads(monkeypatch) -> list[int]:
+    """The masks I of every homology.full_subcomplex_homology call, from
+    every fatwedge module that binds it."""
+    real, reads = homology.full_subcomplex_homology, []
+
+    def counted(K, imask, ring=ZZ):
+        reads.append(imask)
+        return real(K, imask, ring)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fatwedge" and \
+                getattr(module, "full_subcomplex_homology", None) is real:
+            monkeypatch.setattr(module, "full_subcomplex_homology", counted)
+    return reads
 
 
 class TestSpacePoincare:

