@@ -10,12 +10,11 @@ decompositions and Golodness verdicts.
 
 from .complexes import (SimplicialComplex, alexander_dual, boundary_of_simplex,
                         empty_complex, flag_complex, full_subcomplex,
-                        generated_subcomplex, is_chordal, join, link,
-                        make_complex, max_neighborliness, minimal_nonfaces,
-                        perfect_elimination_order, simplex)
+                        is_chordal, join, make_complex, max_neighborliness,
+                        minimal_nonfaces, perfect_elimination_order, simplex)
 from .homology import (GF, QQ, ZZ, ChainComplex, CoefficientRing,
-                       HomologyProfile, dK, hodim, is_i_acyclic,
-                       is_zero_on_homology, reduced_homology)
+                       HomologyProfile, dK, hodim, is_zero_on_homology,
+                       reduced_homology)
 from .snf import SNFResult, smith_normal_form
 from .rmac import (CubicalComplex, build_rmac, cubical_homology,
                    hochster_identity_check, rmac_filtration)

@@ -68,8 +68,9 @@ class GolodReport:
 @run()
 def golod_report(K: SimplicialComplex) -> GolodReport:
     """Golodness over Z in the decidable sense: over Q and over Z/p for every
-    prime p dividing torsion of some full-subcomplex homology (2 and 3 are
-    always included as a floor), plus the chain-level join oracle over Z.
+    prime p dividing torsion of some full-subcomplex homology, plus the
+    chain-level join oracle over Z.  No other prime is checked, and none
+    needs to be.
 
     Where no H~(K_I; Z) has p-torsion, Z/p cannot fail where Q passes.  By
     universal coefficients the Z/p table of ``full_subcomplex_profiles`` is
@@ -79,7 +80,7 @@ def golod_report(K: SimplicialComplex) -> GolodReport:
     reduction of an integral product xy, which Golod over Q makes torsion of
     order n prime to p: xy (x) 1 = (n xy) (x) a = 0 for an = 1 mod p.
     """
-    primes = tuple(sorted(set(torsion_primes(K)) | {2, 3}))
+    primes = torsion_primes(K)
     join_z = golod_via_join(K, ZZ)
     tor_q = golod_via_tor(K, QQ)
     tor_p = tuple((p, golod_via_tor(K, GF(p))) for p in primes)
@@ -351,7 +352,9 @@ def bbcg_summands(K: SimplicialComplex, spaces, ring: CoefficientRing = ZZ,
 
     spaces is one SpacePoincare per vertex.  The desuspended flag is true
     exactly when a triviality certificate with verdict "trivial" accompanies
-    the report (one is computed if not supplied).
+    the report (one is computed if not supplied) and K has no ghost element:
+    with ghost set G the polyhedral product is the one of K on its support
+    times the product of the X_g over G, and a product is not a wedge.
     """
     spaces = list(spaces)
     if len(spaces) != K.m:
@@ -397,5 +400,6 @@ def bbcg_summands(K: SimplicialComplex, spaces, ring: CoefficientRing = ZZ,
     if certificate is None:
         certificate = certify_fwf_trivial(K)
     return WedgeReport(ring, tuple(summands), aggregate, spheres,
-                       desuspended=(certificate.verdict == "trivial"),
+                       desuspended=(certificate.verdict == "trivial"
+                                    and K.support == (1 << K.m) - 1),
                        certificate=certificate)

@@ -386,19 +386,6 @@ def _compress(mask: int, imask: int) -> int:
     return out
 
 
-def link(K: SimplicialComplex, smask: int) -> SimplicialComplex:
-    """lk_K(sigma) for the face sigma with vertex mask smask, on the ground
-    set [m] - sigma re-indexed onto 1..m-|sigma|."""
-    if not K.has_face(smask):
-        raise ValueError(f"{verts(smask)} is not a face, link undefined")
-    if smask == (1 << K.m) - 1:
-        raise ValueError("link of the full ground set has an empty ambient set")
-    rest = ((1 << K.m) - 1) ^ smask
-    gens = _maximal(f & ~smask for f in K.facets if smask & ~f == 0)
-    return SimplicialComplex(rest.bit_count(),
-                             tuple(_compress(f, rest) for f in gens), _trusted=True)
-
-
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
     """Join K1 * K2 on [m1 + m2]; K2's labels are shifted up by m1."""
     facets = tuple(f1 | (f2 << K1.m) for f1 in K1.facets for f2 in K2.facets)
@@ -459,18 +446,6 @@ def alexander_dual(K: SimplicialComplex, ambient: int | None = None) -> Simplici
         raise ValueError("Alexander dual of the full simplex is the void complex")
     full = (1 << s) - 1
     return SimplicialComplex(s, tuple(full ^ M for M in mnf), _trusted=True)
-
-
-# -- generated subcomplexes ------------------------------------------------
-
-def generated_subcomplex(K: SimplicialComplex, i: int) -> SimplicialComplex:
-    """Downward closure of the faces of dimension >= i."""
-    if i < 0:
-        raise ValueError("generating dimension must be >= 0")
-    gens = [f for f in K.facets if f.bit_count() - 1 >= i]
-    if not gens:
-        return empty_complex(K.m)
-    return SimplicialComplex(K.m, _maximal(gens), _trusted=True)
 
 
 # -- graphs: flagness and chordality ----------------------------------------

@@ -11,6 +11,9 @@ acyclicity obstruction, which is a genuine invariant.
 The shelling and collapse searches run on one backtracking engine with an
 explicit stack, so their depth is bounded by memory, not by the interpreter's
 recursion limit.
+Sequential Cohen-Macaulayness is decided, not searched: ``is_dual_scm``
+reads Hochster's formula off the full-subcomplex table of one complex per
+degree (``homology.full_subcomplex_profiles``).
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import (SimplicialComplex, alexander_dual, full_subcomplex,
-                        generated_subcomplex, is_chordal, link, mask_of,
-                        minimal_nonfaces, shared, verts)
+                        is_chordal, mask_of, minimal_nonfaces, shared, verts)
 from .homology import (CoefficientRing, GF, ZZ, HomologyProfile,
                        build_simplicial_chain_complex, chain_homology,
-                       is_i_acyclic)
+                       full_subcomplex_profiles)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -219,23 +221,7 @@ def spanning_facets(K: SimplicialComplex, order) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- Cohen-Macaulay conditions -------------------------------------------------
-
-def is_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
-    """Sequentially Cohen-Macaulay over the ring, by the link criterion:
-    for every face s and every 0 <= i <= dim lk(s), the subcomplex of the
-    link generated by faces of dimension >= i is (i-1)-acyclic."""
-    full = (1 << K.m) - 1
-    for s in K.all_faces():
-        if s == full:
-            continue
-        lk = link(K, s)
-        for i in range(0, lk.dim + 1):
-            Li = generated_subcomplex(lk, i)
-            if not is_i_acyclic(Li, ring, i - 1):
-                return False
-    return True
-
+# -- sequential Cohen-Macaulayness ---------------------------------------------
 
 def _dual_or_none(K: SimplicialComplex):
     try:
@@ -244,11 +230,54 @@ def _dual_or_none(K: SimplicialComplex):
         return None   # K is the full simplex; its dual is void
 
 
-def is_dual_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
+def is_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
+    """Sequentially Cohen-Macaulay over the ring: K is the Alexander dual of
+    its own dual (``is_dual_scm``); the full simplex passes vacuously."""
     dual = _dual_or_none(K)
-    if dual is None:
-        return True   # vacuous: the void dual has no faces to test
-    return is_scm(dual, ring)
+    return dual is None or is_dual_scm(dual, ring)
+
+
+def is_dual_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
+    """Is the Alexander dual of K sequentially Cohen-Macaulay over ring?
+
+    Over a field, exactly when each ideal I_[j], generated by the j-sets that
+    are non-faces of K, has a linear resolution (Herzog, Reiner and Welker,
+    Michigan Math. J. 46 (1999); Herzog and Hibi, Nagoya Math. J. 153
+    (1999)).  I_[j] is the Stanley-Reisner ideal of Delta_j (``_delta``), so
+    by Hochster's formula that asks every full subcomplex of Delta_j for
+    homology in degree j - 2 only.  Over Z it must be free too, so that by
+    universal coefficients this holds over every field, as SCM over Z does.
+    Only j from the larger of 2 and the smallest minimal non-face up to
+    dim K + 1 can fail: below, Delta_j is a simplex on the vertices of K
+    (its full subcomplexes are simplices or {()}); above, the complete
+    (j - 2)-skeleton.
+    """
+    low = min((M.bit_count() for M in minimal_nonfaces(K)), default=K.dim + 2)
+    for j in range(max(low, 2), K.dim + 2):
+        table = full_subcomplex_profiles(_delta(K, j), ring)
+        if any(prof.torsion or any(q != j - 2 for q in prof.free)
+               for prof in table.values()):
+            return False
+    return True
+
+
+def _delta(K: SimplicialComplex, j: int) -> SimplicialComplex:
+    """Delta_j, the sets whose j-subsets are all faces of K, level by level:
+    past size j a set is a face when the sets one smaller in it are, and a
+    face is a facet when no face one larger contains it."""
+    level = {mask_of(c) for c in itertools.combinations(range(1, K.m + 1), j - 1)}
+    up = set(K.faces(j - 1))
+    facets: list[int] = []
+    while level:
+        facets += level - {t ^ (1 << (v - 1)) for t in up for v in verts(t)}
+        nxt = set()
+        for s in up:
+            for w in range(s.bit_length(), K.m):
+                t = s | 1 << w
+                if all(t ^ (1 << (v - 1)) in up for v in verts(s)):
+                    nxt.add(t)
+        level, up = up, nxt
+    return SimplicialComplex(K.m, facets, _trusted=True)
 
 
 def is_dual_shellable(K: SimplicialComplex, budget: int = DEFAULT_BUDGET) -> SearchResult:

@@ -24,8 +24,8 @@ contractible complex has a point for its core.  The homology of all full
 subcomplexes is one table per complex and ring, ``full_subcomplex_profiles``,
 which every loop over the 2^m subsets reads (hodim and dK, torsion primes,
 both Golod oracles, the simplicial sides of both Hochster identities, the
-BBCG summands).  Homology bases and the inclusion test need the cells of K
-itself and take its own chain complex.
+BBCG summands, the sequential Cohen-Macaulay test).  Homology bases and the
+inclusion test need the cells of K itself and take its own chain complex.
 """
 
 from __future__ import annotations
@@ -217,11 +217,6 @@ class HomologyProfile:
     def is_trivial(self) -> bool:
         return not self.free and not self.torsion
 
-    def is_trivial_up_to(self, i: int) -> bool:
-        """No homology in degrees <= i (degree -1 included)."""
-        return (all(q > i for q in self.free)
-                and all(q > i for q in self.torsion))
-
     def nonzero_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.free) | set(self.torsion)))
 
@@ -229,13 +224,6 @@ class HomologyProfile:
         return HomologyProfile(self.ring,
                                {q + k: r for q, r in self.free.items()},
                                {q + k: ds for q, ds in self.torsion.items()})
-
-    def cohomology(self) -> "HomologyProfile":
-        """Universal coefficients: free part fixed, torsion moves up a degree."""
-        if self.ring.is_field:
-            return self
-        return HomologyProfile(self.ring, dict(self.free),
-                               {q + 1: ds for q, ds in self.torsion.items()})
 
     @staticmethod
     def direct_sum(parts: Iterable["HomologyProfile"],
@@ -399,10 +387,6 @@ def full_subcomplex_profiles(K: SimplicialComplex,
         return {I: prof for I, prof in table.items() if not prof.is_trivial()}
 
     return shared(("profiles", K, ring), build)
-
-
-def is_i_acyclic(K: SimplicialComplex, ring: CoefficientRing, i: int) -> bool:
-    return reduced_homology(K, ring).is_trivial_up_to(i)
 
 
 # -- homology dimension ------------------------------------------------------

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from fatwedge.complexes import (SimplicialComplex, full_subcomplex, join,
+from fatwedge.complexes import (SimplicialComplex, _compress, _maximal,
+                                empty_complex, full_subcomplex, join,
                                 make_complex, mask_of, minimal_nonfaces, verts)
 from fatwedge.criteria import (CollapseSequence, SearchResult, ShellingOrder,
-                               _Budget, _face_set, _has_gcd_witnesses, is_scm)
+                               _Budget, _face_set, _has_gcd_witnesses)
 from fatwedge.homology import (QQ, ZZ, CoefficientRing, HomologyBasis,
                                HomologyProfile, reduced_homology,
                                simplicial_chain_complex)
@@ -628,4 +629,50 @@ def star(K: SimplicialComplex, v: int) -> SimplicialComplex:
 
 
 def is_cm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
-    return K.is_pure and is_scm(K, ring)
+    return K.is_pure and reference_is_scm(K, ring)
+
+
+# -- the link criterion, the reference for criteria.is_scm ------------------
+
+def link(K: SimplicialComplex, smask: int) -> SimplicialComplex:
+    """lk_K(sigma) for the face sigma with vertex mask smask, on the ground
+    set [m] - sigma re-indexed onto 1..m-|sigma|."""
+    if not K.has_face(smask):
+        raise ValueError(f"{verts(smask)} is not a face, link undefined")
+    if smask == (1 << K.m) - 1:
+        raise ValueError("link of the full ground set has an empty ambient set")
+    rest = ((1 << K.m) - 1) ^ smask
+    gens = _maximal(f & ~smask for f in K.facets if smask & ~f == 0)
+    return SimplicialComplex(rest.bit_count(),
+                             tuple(_compress(f, rest) for f in gens), _trusted=True)
+
+
+def generated_subcomplex(K: SimplicialComplex, i: int) -> SimplicialComplex:
+    """Downward closure of the faces of dimension >= i."""
+    if i < 0:
+        raise ValueError("generating dimension must be >= 0")
+    gens = [f for f in K.facets if f.bit_count() - 1 >= i]
+    if not gens:
+        return empty_complex(K.m)
+    return SimplicialComplex(K.m, _maximal(gens), _trusted=True)
+
+
+def is_i_acyclic(K: SimplicialComplex, ring: CoefficientRing, i: int) -> bool:
+    """No reduced homology in degrees <= i (degree -1 included)."""
+    prof = reduced_homology(K, ring)
+    return all(q > i for q in (*prof.free, *prof.torsion))
+
+
+def reference_is_scm(K: SimplicialComplex, ring: CoefficientRing = ZZ) -> bool:
+    """Sequentially Cohen-Macaulay over the ring, by the link criterion: for
+    every face s and every 0 <= i <= dim lk(s), the subcomplex of the link
+    generated by faces of dimension >= i is (i-1)-acyclic."""
+    full = (1 << K.m) - 1
+    for s in K.all_faces():
+        if s == full:
+            continue
+        lk = link(K, s)
+        for i in range(0, lk.dim + 1):
+            if not is_i_acyclic(generated_subcomplex(lk, i), ring, i - 1):
+                return False
+    return True

@@ -20,7 +20,7 @@ from fatwedge.criteria import (fill_search, is_dual_scm, is_dual_shellable,
 from fatwedge.homology import (GF, QQ, ZZ, full_subcomplex_profiles,
                                reduced_homology)
 from fatwedge.rmac import build_rmac, cubical_homology, hochster_identity_check
-from fatwedge.tor import torsion_primes
+from fatwedge.tor import golod_via_tor, torsion_primes
 
 from helpers import (random_complex, random_graph, random_two_complex,
                      with_ground)
@@ -201,18 +201,20 @@ class TestGolodReport:
         assert rep.witness_text is not None
 
     def test_berglund_primes(self):
+        # no K_I has torsion, so no prime field is checked
         rep = golod_report(berglund_complex())
         assert rep.golod
-        assert set(rep.primes) >= {2, 3}
+        assert rep.primes == () and rep.tor_mod_p == ()
 
     def test_rp2_includes_torsion_prime(self):
         rep = golod_report(RP2)
         assert 2 in rep.primes and rep.golod
 
     def test_one_homology_read_per_subset(self, monkeypatch):
-        # one integral table serves the torsion primes, the join oracle over
-        # Z, the Tor oracle over Q, Z/2 and Z/3, dK, the rules and the BBCG
-        # summands
+        # one integral table per complex serves the torsion primes, the join
+        # oracle over Z, the Tor oracle over Q and each torsion prime, dK,
+        # the rules and the BBCG summands; the SCM rule reads the tables of
+        # the complexes Delta_j it builds, each once too
         reads = _full_subcomplex_reads(monkeypatch)
         for K in (C4, PATH, RP2, UNKNOWN, berglund_complex()):
             every = list(range(1, 1 << K.m))
@@ -223,7 +225,8 @@ class TestGolodReport:
                          lambda: bbcg_summands(K, circles)):
                 reads.clear()
                 call()
-                assert sorted(reads) == every, K
+                assert sorted(I for L, I in reads if L == K) == every, K
+                assert len(set(reads)) == len(reads), K
 
     def test_prime_fields_follow_q_without_torsion(self):
         # with no p-torsion in any K_I the Z/p table is the Q table, and
@@ -244,20 +247,21 @@ class TestGolodReport:
                         assert all(over_p[I].free == prof.free
                                    for I, prof in over_q.items()), K
                     rep = golod_report(K)
-                assert [p for p, _ in rep.tor_mod_p] == [2, 3]
-                for _, v in rep.tor_mod_p:
-                    assert v.golod == rep.tor_over_Q.golod, K
+                    assert rep.primes == () and rep.tor_mod_p == (), K
+                    for p in (2, 3):
+                        v = golod_via_tor(K, GF(p))
+                        assert v.golod == rep.tor_over_Q.golod, K
                 verdicts.append(rep.tor_over_Q.golod)
         assert len(verdicts) >= 200 and 30 <= verdicts.count(False) < 200
 
 
-def _full_subcomplex_reads(monkeypatch) -> list[int]:
-    """The masks I of every homology.full_subcomplex_homology call, from
-    every fatwedge module that binds it."""
+def _full_subcomplex_reads(monkeypatch) -> list[tuple]:
+    """(K, I) of every homology.full_subcomplex_homology call, from every
+    fatwedge module that binds it."""
     real, reads = homology.full_subcomplex_homology, []
 
     def counted(K, imask, ring=ZZ):
-        reads.append(imask)
+        reads.append((K, imask))
         return real(K, imask, ring)
 
     for name, module in list(sys.modules.items()):
@@ -324,6 +328,25 @@ class TestBBCG:
         top = by_subset[(1, 2, 3, 4, 5, 6)]
         assert top.free == {} and top.torsion == {2: (2,)}
         assert len(rep.summands) == 10 + 15 + 6 + 1
+
+    def test_ghost_is_not_desuspended(self):
+        # two points and a ghost certify trivial, but RZ_K = S^1 x S^0 is two
+        # circles, not the wedge S^0 v S^1 v S^1
+        K = make_complex(3, [[1], [2]])
+        rep = bbcg_summands(K, [SpacePoincare.sphere(0)] * 3)
+        assert rep.certificate.verdict == "trivial"
+        assert rep.wedge_string() == "S^0 v S^1 v S^1"
+        assert not rep.desuspended
+        rng = random.Random(5)
+        trivial = 0
+        for _ in range(150):
+            K = random_complex(rng, max_m=6)
+            if K.support == (1 << K.m) - 1:
+                continue
+            rep = bbcg_summands(K, [SpacePoincare.sphere(0)] * K.m)
+            trivial += rep.certificate.verdict == "trivial"
+            assert not rep.desuspended, K
+        assert trivial >= 20
 
     def test_aggregate_matches_rmac_homology(self):
         for K in (C4, RP2, boundary_of_simplex(4)):

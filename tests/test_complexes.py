@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from fatwedge.complexes import (_STORE, SimplicialComplex, _maximal,
                                 _restricted_facets, alexander_dual,
                                 boundary_of_simplex, core_mask, empty_complex,
-                                flag_complex, full_subcomplex,
-                                generated_subcomplex, is_chordal, join, link,
-                                make_complex, mask_of, max_neighborliness,
-                                minimal_nonfaces, run, shared, simplex, verts)
+                                flag_complex, full_subcomplex, is_chordal,
+                                join, make_complex, mask_of,
+                                max_neighborliness, minimal_nonfaces, run,
+                                shared, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 
 from helpers import (brute_force_faces, deletion, dominated_vertices,
-                     naive_core, random_complex, random_graph,
-                     random_two_complex, rp2_with_cones, star, with_ground)
+                     generated_subcomplex, link, naive_core, random_complex,
+                     random_graph, random_two_complex, rp2_with_cones, star,
+                     with_ground)
 
 
 @st.composite

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from fatwedge.complexes import (_STORE, alexander_dual, boundary_of_simplex,
-                                make_complex, minimal_nonfaces, run, simplex,
-                                verts)
+                                flag_complex, make_complex, minimal_nonfaces,
+                                run, simplex, verts)
 from fatwedge.corpus import berglund_complex, corpus_names, load
 from fatwedge.criteria import (_face_set, _fillings, _free_pairs,
                                _shelling_ok, collapse_search, fill_search,
@@ -18,12 +18,14 @@ from fatwedge.criteria import (_face_set, _fillings, _free_pairs,
                                is_dual_shellable, is_homology_fillable, is_scm,
                                is_shelling, shelling_search,
                                spanning_facets, strong_gcd_search)
-from fatwedge.homology import QQ, ZZ, reduced_homology
+from fatwedge.homology import GF, QQ, ZZ, reduced_homology
 
 from helpers import (is_cm, is_strong_gcd_order, is_weak_shelling,
-                     random_complex, reference_collapse_search,
-                     reference_free_pairs, reference_shelling_ok,
-                     reference_shelling_search, weak_shelling_search)
+                     random_complex, random_graph, random_two_complex,
+                     reference_collapse_search, reference_free_pairs,
+                     reference_is_scm, reference_shelling_ok,
+                     reference_shelling_search, rp2_with_cones,
+                     weak_shelling_search)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -116,6 +118,37 @@ class TestSCM:
     def test_full_simplex_vacuous(self):
         assert is_dual_scm(simplex(3), ZZ)
         assert is_dual_shellable(simplex(3)).found
+
+    def test_hochster_form_matches_the_link_criterion(self):
+        # is_dual_scm reads Hochster's formula off one complex per degree;
+        # the link criterion on the dual is its reference
+        rng = random.Random(22)
+        pool = [alexander_dual(RP2)]
+        for k in range(100):
+            pool += [random_complex(rng, max_m=6), random_two_complex(rng, 6),
+                     flag_complex(random_graph(rng, max_m=6))]
+            if k % 5 == 0:
+                pool.append(rp2_with_cones(rng, cones=1))
+        rings = (ZZ, QQ, GF(2), GF(3))
+        # on the dual of RP2 it asks about RP2 itself, whose H~_1 is Z/2
+        assert [is_dual_scm(pool[0], ring) for ring in rings] == \
+            [False, True, False, True]
+        seen = set()
+        for K in pool:
+            try:
+                dual = alexander_dual(K)
+            except ValueError:
+                dual = None
+            with run():
+                got = [is_dual_scm(K, ring) for ring in rings]
+                assert got == [dual is None or reference_is_scm(dual, ring)
+                               for ring in rings], K
+                got_scm = [is_scm(K, ring) for ring in rings]
+                assert got_scm == [reference_is_scm(K, ring)
+                                   for ring in rings], K
+            seen.update((tuple(got), tuple(got_scm)))
+        # both answers, and answers that depend on the ring, were exercised
+        assert {(True,) * 4, (False,) * 4, (False, True, False, True)} <= seen
 
     def test_shellable_implies_scm_over_Z(self):
         rng = random.Random(8)
