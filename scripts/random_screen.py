@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Random screening: sample complexes, tally certifier rules, and spot-check
 the cross-validation invariants (Golod oracle agreement, the subcomplex-sum
-identity for the real moment-angle complex, dual-shellable implications).
+identity for the real moment-angle complex, Hochster's formula for the
+Koszul model over Q and Z/2, dual-shellable implications).
 
 Usage: python scripts/random_screen.py [--count 100] [--max-m 6] [--seed 0]
 """
@@ -15,7 +16,7 @@ from fatwedge.complexes import make_complex, run
 from fatwedge.criteria import is_dual_scm, is_dual_shellable, strong_gcd_search
 from fatwedge.homology import GF, QQ, ZZ
 from fatwedge.rmac import hochster_identity_check
-from fatwedge.tor import golod_via_join, golod_via_tor
+from fatwedge.tor import golod_via_join, golod_via_tor, hochster_tor_check
 
 
 def sample(rng: random.Random, max_m: int, ghost_free: bool):
@@ -42,6 +43,7 @@ def main() -> None:
     verdicts = Counter()
     agreement_failures = 0
     identity_failures = 0
+    tor_failures = 0
     chain_checked = 0
     for i in range(args.count):
         K = sample(rng, args.max_m, ghost_free)
@@ -56,6 +58,8 @@ def main() -> None:
             for ring in (QQ, GF(2)):
                 if golod_via_tor(K, ring).golod != golod_via_join(K, ring).golod:
                     agreement_failures += 1
+                if not hochster_tor_check(K, ring).equal:
+                    tor_failures += 1
             if ghost_free and is_dual_shellable(K, budget=20000).found:
                 chain_checked += 1
                 assert is_dual_scm(K, ZZ), K
@@ -67,6 +71,7 @@ def main() -> None:
     for rule, n in rules.most_common():
         print(f"  {rule:<28} {n:>4}")
     print(f"subcomplex-sum identity failures: {identity_failures}")
+    print(f"Hochster formula failures (Tor):  {tor_failures}")
     print(f"Golod oracle disagreements:       {agreement_failures}")
     print(f"dual-shellable chain checks:      {chain_checked}")
 

@@ -18,10 +18,13 @@ under the GIL (worst case the cache is filled twice with equal values).
 Results that equal complexes share -- full subcomplexes, strong-collapse
 cores, simplicial chain complexes with their integral profiles, the table of
 full-subcomplex homology per ring, Koszul pieces and their cohomology bases
-per field, component fill reports -- live in one store, keyed by (kind, complex, ...) tuples, so an equal complex held in
-another object finds them too.  The store lives as long as a run: the
-outermost ``with run():`` (or ``@run()`` function) opens it, nested runs
-join it, and it is dropped when that outermost run ends.  Outside a run
+per field, component fill reports -- live in one store, keyed by (kind,
+complex, ...) tuples, so an equal complex held in another object finds them
+too.  The integral table of full-subcomplex homology puts neither full
+subcomplexes nor cores there, only the chains of the K_I with no dominated
+vertex and no ghost.  The store lives as long as a run: the outermost
+``with run():`` (or ``@run()`` function) opens it, nested runs join it, and
+it is dropped when that outermost run ends.  Outside a run
 ``shared`` just builds.  The store belongs to the context of the thread
 that opened it; a new thread starts outside any run.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -339,10 +342,7 @@ def core_mask(K: SimplicialComplex) -> int:
         v = work.pop()
         queued.discard(v)
         facets = through[v]
-        common = -1
-        for f in facets:
-            common &= f
-        common ^= v
+        common = _dominators(facets, v)
         if not common:
             continue
         del through[v]
@@ -371,6 +371,29 @@ def core_mask(K: SimplicialComplex) -> int:
                 queued.add(low)
                 work.append(low)
     return sum(through)
+
+
+def _dominators(facets: Iterable[int], v: int) -> int:
+    """Mask of the vertices other than v that lie in every one of
+    ``facets``, the maximal faces through the vertex bit v; v is dominated
+    exactly when it is nonzero.  A face through v that is not maximal may
+    miss a dominator, so the faces passed must be the maximal ones."""
+    common = -1
+    for f in facets:
+        common &= f
+    return common ^ v
+
+
+def dominated_vertex(facets: Sequence[int], support: int) -> int:
+    """Lowest dominated vertex, as a bit, of the complex with maximal faces
+    ``facets`` on the vertices ``support``, or 0 when none is dominated."""
+    rest = support
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        if _dominators((f for f in facets if f & v), v):
+            return v
+    return 0
 
 
 def _compress(mask: int, imask: int) -> int:

@@ -24,7 +24,10 @@ contractible complex has a point for its core.  The homology of all full
 subcomplexes is one table per complex and ring, ``full_subcomplex_profiles``,
 which every loop over the 2^m subsets reads (hodim and dK, torsion primes,
 both Golod oracles, the simplicial sides of both Hochster identities, the
-BBCG summands, the sequential Cohen-Macaulay test).  Homology bases and the
+BBCG summands, the sequential Cohen-Macaulay test).  The integral table is
+one pass over the subsets in increasing order: a K_I with a dominated vertex
+v or a ghost g copies the entry of K_{I - v} or K_{I - g}, so only the K_I
+that are their own cores are built and reduced.  Homology bases and the
 inclusion test need the cells of K itself and take its own chain complex.
 """
 
@@ -33,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import (SimplicialComplex, core_mask, full_subcomplex, run,
+from .complexes import (SimplicialComplex, _compress, _restricted_facets,
+                        core_mask, dominated_vertex, full_subcomplex, run,
                         shared, verts)
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
                   prime_factors, smith_normal_form)
@@ -365,8 +369,9 @@ def _core(K: SimplicialComplex) -> SimplicialComplex:
 
 def full_subcomplex_homology(K: SimplicialComplex, imask: int,
                              ring: CoefficientRing = ZZ) -> HomologyProfile:
-    """H~(K_I), read off the strong-collapse core of K_I like every reduced
-    homology; equal full subcomplexes share one core and one reduction."""
+    """H~(K_I) for one I, read off the strong-collapse core of K_I like
+    every reduced homology; equal full subcomplexes share one core and one
+    reduction.  Loops over all I read ``full_subcomplex_profiles``."""
     return reduced_homology(full_subcomplex(K, imask), ring)
 
 
@@ -374,19 +379,53 @@ def full_subcomplex_homology(K: SimplicialComplex, imask: int,
 def full_subcomplex_profiles(K: SimplicialComplex,
                              ring: CoefficientRing = ZZ) -> dict[int, HomologyProfile]:
     """{I: H~(K_I; ring)} over the nonempty I with nonzero homology, in
-    increasing mask order, kept by the run (callers must not change it).
-    The integral table reads each K_I once (``full_subcomplex_homology``),
-    and the table over a field is read off it (``HomologyProfile.over``).
+    increasing mask order, kept by the run (callers must not change it, and
+    equal entries may be one object).  The table over a field is read off
+    the integral one (``HomologyProfile.over``), which is built in one pass
+    (``_integral_profiles``).
     """
     def build() -> dict[int, HomologyProfile]:
         if ring == ZZ:
-            table = {I: full_subcomplex_homology(K, I) for I in range(1, 1 << K.m)}
-        else:
-            table = {I: prof.over(ring)
-                     for I, prof in full_subcomplex_profiles(K).items()}
+            return _integral_profiles(K)
+        table = {I: prof.over(ring)
+                 for I, prof in full_subcomplex_profiles(K).items()}
         return {I: prof for I, prof in table.items() if not prof.is_trivial()}
 
     return shared(("profiles", K, ring), build)
+
+
+def _integral_profiles(K: SimplicialComplex) -> dict[int, HomologyProfile]:
+    """{I: H~(K_I; Z)} over the nonempty I with nonzero homology, from one
+    pass over the subsets I in increasing mask order.
+
+    The maximal faces of K_I are found once, in the labels of K.  When some
+    vertex v of K_I is dominated, K_I retracts onto K_{I - v}
+    (``complexes.core_mask``), whose entry is already made and is copied;
+    otherwise a ghost g in I adds no face, so the entry of I - g is copied
+    (that of I = 0 is the entry of {()}, H~_{-1} = Z).  Only a K_I with
+    neither is built, relabelled from those faces, and it is its own
+    strong-collapse core: its chains come from the run
+    (``simplicial_chain_complex``), so equal K_I are reduced once.
+    """
+    entries = [HomologyProfile(ZZ, {-1: 1})]     # K_0 = {()}
+    for imask in range(1, 1 << K.m):
+        facets = _restricted_facets(K, imask)
+        support = 0
+        for f in facets:
+            support |= f
+        v = dominated_vertex(facets, support)
+        if not v:
+            ghosts = imask & ~support
+            v = ghosts & -ghosts
+        if v:
+            entries.append(entries[imask ^ v])
+            continue
+        KI = SimplicialComplex(imask.bit_count(),
+                               tuple(_compress(f, imask) for f in facets),
+                               _trusted=True)
+        entries.append(chain_homology(simplicial_chain_complex(KI), ZZ))
+    return {I: prof for I, prof in enumerate(entries)
+            if I and not prof.is_trivial()}
 
 
 # -- homology dimension ------------------------------------------------------

@@ -1,6 +1,5 @@
 import gc
 import random
-import sys
 import weakref
 from types import SimpleNamespace
 
@@ -12,8 +11,8 @@ from fatwedge.certify import (RULE_DIM, RULE_FLAG, RULE_LOW_DUAL,
                               golod_report)
 from fatwedge import certify, criteria, homology
 from fatwedge.complexes import (SimplicialComplex, boundary_of_simplex,
-                                flag_complex, full_subcomplex, is_chordal,
-                                make_complex, run, simplex)
+                                core_mask, flag_complex, full_subcomplex,
+                                is_chordal, make_complex, run, simplex)
 from fatwedge.corpus import berglund_complex, corpus_names, load
 from fatwedge.criteria import (fill_search, is_dual_scm, is_dual_shellable,
                                is_homology_fillable)
@@ -210,23 +209,29 @@ class TestGolodReport:
         rep = golod_report(RP2)
         assert 2 in rep.primes and rep.golod
 
-    def test_one_homology_read_per_subset(self, monkeypatch):
+    def test_one_table_reduces_each_core_once(self, monkeypatch):
         # one integral table per complex serves the torsion primes, the join
         # oracle over Z, the Tor oracle over Q and each torsion prime, dK,
-        # the rules and the BBCG summands; the SCM rule reads the tables of
-        # the complexes Delta_j it builds, each once too
-        reads = _full_subcomplex_reads(monkeypatch)
+        # the rules and the BBCG summands; the SCM rule builds the table of
+        # each complex Delta_j it makes, once too.  A table makes complexes
+        # and chains only for K_I with no dominated vertex and no ghost, and
+        # no complex has its chains built, or reduced, twice in a run
+        spy = _table_spy(monkeypatch)
         for K in (C4, PATH, RP2, UNKNOWN, berglund_complex()):
-            every = list(range(1, 1 << K.m))
             circles = [SpacePoincare.sphere(1)] * K.m
             for call in (lambda: certify_fwf_trivial(K),
                          lambda: certify_fwf_trivial(K, all_rules=True),
                          lambda: golod_report(K),
                          lambda: bbcg_summands(K, circles)):
-                reads.clear()
+                for seen in vars(spy).values():
+                    seen.clear()
                 call()
-                assert sorted(I for L, I in reads if L == K) == every, K
-                assert len(set(reads)) == len(reads), K
+                assert spy.tables.count(K) == 1, K
+                assert len(set(spy.tables)) == len(spy.tables), K
+                assert spy.made and all(core_mask(L) == (1 << L.m) - 1
+                                        for L in spy.made), K
+                assert len(set(spy.chains)) == len(spy.chains), K
+                assert len(set(map(id, spy.reduced))) == len(spy.reduced), K
 
     def test_prime_fields_follow_q_without_torsion(self):
         # with no p-torsion in any K_I the Z/p table is the Q table, and
@@ -255,20 +260,44 @@ class TestGolodReport:
         assert len(verdicts) >= 200 and 30 <= verdicts.count(False) < 200
 
 
-def _full_subcomplex_reads(monkeypatch) -> list[tuple]:
-    """(K, I) of every homology.full_subcomplex_homology call, from every
-    fatwedge module that binds it."""
-    real, reads = homology.full_subcomplex_homology, []
+def _table_spy(monkeypatch) -> SimpleNamespace:
+    """Lists filled as a run goes: the complexes whose integral table is
+    built (tables), the complexes made while one is built (made), the
+    complexes whose chains the run builds (chains) and the boundaries of
+    every chain complex reduced (reduced)."""
+    spy = SimpleNamespace(tables=[], made=[], chains=[], reduced=[])
+    building = []
+    real_table = homology._integral_profiles
+    real_chains = homology.build_simplicial_chain_complex
+    real_reduce = homology.complex_rank_divisors
+    real_init = SimplicialComplex.__init__
 
-    def counted(K, imask, ring=ZZ):
-        reads.append((K, imask))
-        return real(K, imask, ring)
+    def table(K):
+        spy.tables.append(K)
+        building.append(K)
+        try:
+            return real_table(K)
+        finally:
+            building.pop()
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fatwedge" and \
-                getattr(module, "full_subcomplex_homology", None) is real:
-            monkeypatch.setattr(module, "full_subcomplex_homology", counted)
-    return reads
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if building:
+            spy.made.append(self)
+
+    def chains(K):
+        spy.chains.append(K)
+        return real_chains(K)
+
+    def reduce(boundary, dims):
+        spy.reduced.append(boundary)
+        return real_reduce(boundary, dims)
+
+    monkeypatch.setattr(homology, "_integral_profiles", table)
+    monkeypatch.setattr(homology, "build_simplicial_chain_complex", chains)
+    monkeypatch.setattr(homology, "complex_rank_divisors", reduce)
+    monkeypatch.setattr(SimplicialComplex, "__init__", init)
+    return spy
 
 
 class TestSpacePoincare:

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (_STORE, SimplicialComplex, _maximal,
                                 _restricted_facets, alexander_dual,
-                                boundary_of_simplex, core_mask, empty_complex,
-                                flag_complex, full_subcomplex, is_chordal,
-                                join, make_complex, mask_of,
+                                boundary_of_simplex, core_mask,
+                                dominated_vertex, empty_complex, flag_complex,
+                                full_subcomplex, is_chordal, join,
+                                make_complex, mask_of,
                                 max_neighborliness, minimal_nonfaces, run,
                                 shared, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
@@ -130,6 +131,26 @@ class TestStrongCollapseCore:
             core = _core(K)
             assert dominated_vertices(core) == [], K
             assert core.f_vector() == naive_core(K).f_vector(), K
+
+    def test_dominated_vertex_is_the_lowest_one(self):
+        # on the maximal faces of K, and of every K_I in K's labels
+        for K in _seeded_cores()[1][:200]:
+            want = dominated_vertices(K)
+            got = dominated_vertex(K.facets, K.support)
+            assert got == (1 << want[0] - 1 if want else 0), K
+            for imask in range(1, 1 << K.m):
+                facets = _restricted_facets(K, imask)
+                support = mask_of(v for f in facets for v in verts(f))
+                want = dominated_vertices(full_subcomplex(K, imask))
+                got = verts(dominated_vertex(facets, support))
+                assert got == tuple(verts(imask)[v - 1] for v in want[:1]), \
+                    (K, verts(imask))
+
+    def test_a_face_that_is_not_maximal_hides_a_domination(self):
+        # every vertex of the triangle {1, 2, 3} is dominated, but with its
+        # edges listed too the AND through each vertex is that vertex
+        assert dominated_vertex([0b111], 0b111) == 0b001
+        assert dominated_vertex([0b111, 0b011, 0b101, 0b110], 0b111) == 0
 
     def test_relabelling_gives_a_core_of_the_same_f_vector(self):
         rng, cases = _seeded_cores()

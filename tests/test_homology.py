@@ -10,7 +10,7 @@ from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
                                 verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
-from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis,
+from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, HomologyProfile,
                                build_simplicial_chain_complex, chain_homology,
                                dK, full_subcomplex_homology,
                                full_subcomplex_profiles, hodim,
@@ -176,6 +176,76 @@ class TestHomologyOnTheCore:
                         for imask in range(1, 1 << 6)]
         assert {p.betti(0) for p in profiles} == {0, 1, 2}
         assert sorted(K.m for K in calls) == [1, 2, 3]
+
+
+def _reference_table(K, ring, chains):
+    """{I: H~(K_I)} from the cells of every K_I, with no core; ``chains``
+    keeps one chain complex per distinct K_I across calls."""
+    table = {}
+    for imask in range(1, 1 << K.m):
+        KI = full_subcomplex(K, imask)
+        if KI not in chains:
+            chains[KI] = build_simplicial_chain_complex(KI)
+        prof = chain_homology(chains[KI], ring)
+        if not prof.is_trivial():
+            table[imask] = prof
+    return table
+
+
+class TestFullSubcomplexTable:
+    rings = (ZZ, QQ, GF(2), GF(3))
+
+    def _check(self, K, chains):
+        with run():
+            for ring in self.rings:
+                table = full_subcomplex_profiles(K, ring)
+                assert table == _reference_table(K, ring, chains), (K, ring)
+                assert list(table) == sorted(table), K
+
+    def test_table_matches_the_cells_of_every_full_subcomplex(self):
+        # 1,000 seeded complexes of four kinds, every third with a ghost
+        # vertex added; RP^2 with a cone carries torsion
+        rng = random.Random(2023)
+        cases = []
+        for _ in range(250):
+            cases += [random_complex(rng, max_m=7),
+                      random_two_complex(rng, max_m=6),
+                      flag_complex(random_graph(rng, max_m=7)),
+                      rp2_with_cones(rng, cones=1)]
+        cases = [with_ground(K, K.m + 1) if k % 3 == 0 else K
+                 for k, K in enumerate(cases)]
+        chains = {}
+        for K in cases:
+            self._check(K, chains)
+        assert sum(K.support != (1 << K.m) - 1 for K in cases) >= 333
+        assert sum(bool(reduced_homology(K).torsion) for K in cases) >= 200
+
+    def test_edge_cases(self):
+        chains = {}
+        ghost = make_complex(3, [[1, 2]])
+        for K in (ghost, empty_complex(4), simplex(5),
+                  load("rp2_6").complex()):
+            self._check(K, chains)
+        z = HomologyProfile(ZZ, {-1: 1})
+        # a ghost-only K_I is {()}, with H~_{-1} = Z, not a point
+        assert full_subcomplex_profiles(ghost)[0b100] == z
+        assert 0b101 not in full_subcomplex_profiles(ghost)
+        assert full_subcomplex_profiles(empty_complex(4)) == \
+            {I: z for I in range(1, 16)}
+        assert full_subcomplex_profiles(simplex(5)) == {}
+        rp2 = full_subcomplex_profiles(load("rp2_6").complex())
+        assert rp2[(1 << 6) - 1].torsion_at(1) == (2,)
+
+    def test_equal_entries_share_one_profile(self):
+        # a path's full subcomplexes are forests of paths: a K_I with a
+        # dominated vertex copies the entry of K_{I - v}, and the forests
+        # of points left share their chains, so every I with two components
+        # holds one profile object
+        path = make_complex(6, [[v, v + 1] for v in range(1, 6)])
+        with run():
+            table = full_subcomplex_profiles(path)
+        two = [prof for prof in table.values() if prof.betti(0) == 1]
+        assert len(two) > 1 and all(prof is two[0] for prof in two)
 
 
 class TestOneReductionPerComplex:

@@ -26,6 +26,7 @@ def test_random_screen_runs_and_oracles_agree():
     assert "screened 5 complexes" in proc.stdout
     assert "Golod oracle disagreements:       0" in proc.stdout
     assert "subcomplex-sum identity failures: 0" in proc.stdout
+    assert "Hochster formula failures (Tor):  0" in proc.stdout
 
 
 def test_survey_corpus_lists_every_complex():

@@ -235,17 +235,17 @@ class TestGolodOracles:
         assert pieces == []
 
     def test_inflated_hochster_dimension_raises(self, monkeypatch):
-        # the full-subcomplex table reads each K_I through
-        # homology.full_subcomplex_homology, over Z
-        real = homology.full_subcomplex_homology
+        # the field tables are read off the integral table, which
+        # homology._integral_profiles builds
+        real = homology._integral_profiles
 
-        def inflated(K, imask, ring=ZZ):
-            prof = real(K, imask, ring)
-            if imask == 0b0101:
-                return HomologyProfile(ring, {q: b + 1 for q, b in prof.free.items()})
-            return prof
+        def inflated(K):
+            table = dict(real(K))
+            table[0b0101] = HomologyProfile(
+                ZZ, {q: b + 1 for q, b in table[0b0101].free.items()})
+            return table
 
-        monkeypatch.setattr(homology, "full_subcomplex_homology", inflated)
+        monkeypatch.setattr(homology, "_integral_profiles", inflated)
         with pytest.raises(AssertionError, match="Hochster gives 2"):
             golod_via_tor(C4, QQ)
 
