@@ -121,14 +121,9 @@ def _try_dim(K: SimplicialComplex):
 
 
 def _try_flag_chordal(K: SimplicialComplex):
-    if K.dim > 1:
-        one = K.skeleton(1)
-    else:
-        one = K
+    one = K.skeleton(1)
     peo = perfect_elimination_order(one)
-    if peo is None:
-        return None
-    if flag_complex(one) != K:
+    if peo is None or flag_complex(one) != K:
         return None
     return {"chordal": True, "elimination_order": list(peo)}
 

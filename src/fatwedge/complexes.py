@@ -76,12 +76,10 @@ def mask_of(vertices: Iterable[int]) -> int:
 def verts(mask: int) -> tuple[int, ...]:
     """Sorted vertex tuple of a bitmask."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -196,7 +194,9 @@ class SimplicialComplex:
         return tuple(sorted(comps.values(), key=verts))
 
     def skeleton(self, k: int) -> "SimplicialComplex":
-        """Subcomplex of faces of dimension <= k."""
+        """Subcomplex of faces of dimension <= k.  Its facets are the facets
+        of K with at most k + 1 vertices and the (k + 1)-subsets of the
+        others, a family in which no member contains another."""
         if k < -1:
             raise ValueError("skeleton dimension must be >= -1")
         if k >= self.dim:
@@ -208,7 +208,7 @@ class SimplicialComplex:
             else:
                 for c in itertools.combinations(verts(f), k + 1):
                     gens.add(mask_of(c))
-        return SimplicialComplex(self.m, _maximal(gens), _trusted=True)
+        return SimplicialComplex(self.m, gens, _trusted=True)
 
     # -- value semantics ---------------------------------------------------
 
@@ -397,22 +397,22 @@ def dominated_vertex(facets: Sequence[int], support: int) -> int:
 
 
 def _compress(mask: int, imask: int) -> int:
-    """Relabel a subset of imask onto the low |imask| bits, order preserved."""
+    """Relabel mask & imask onto the low |imask| bits, order preserved: a
+    bit of imask goes to the number of imask bits below it."""
     out = 0
-    pos = 0
-    while imask:
-        low = imask & -imask
-        if mask & low:
-            out |= 1 << pos
-        pos += 1
-        imask ^= low
+    rest = mask & imask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        out |= 1 << (imask & (low - 1)).bit_count()
     return out
 
 
 def join(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
-    """Join K1 * K2 on [m1 + m2]; K2's labels are shifted up by m1."""
-    facets = tuple(f1 | (f2 << K1.m) for f1 in K1.facets for f2 in K2.facets)
-    return SimplicialComplex(K1.m + K2.m, _maximal(facets), _trusted=True)
+    """Join K1 * K2 on [m1 + m2]; K2's labels are shifted up by m1.  Its
+    facets, products of facets on disjoint vertex sets, are incomparable."""
+    return SimplicialComplex(K1.m + K2.m, (f1 | (f2 << K1.m) for f1 in K1.facets
+                                           for f2 in K2.facets), _trusted=True)
 
 
 # -- non-faces and duality -------------------------------------------------
@@ -483,7 +483,8 @@ def _adjacency(G: SimplicialComplex) -> dict[int, set[int]]:
 
 
 def flag_complex(G: SimplicialComplex) -> SimplicialComplex:
-    """Flag complex of a graph: faces are the cliques.  Input must have dim <= 1."""
+    """Flag complex of a graph, whose facets are the maximal cliques, each
+    found once by Bron-Kerbosch with pivoting.  Input must have dim <= 1."""
     if G.dim > 1:
         raise ValueError("flag_complex expects a complex of dimension <= 1")
     adj = _adjacency(G)
@@ -502,7 +503,7 @@ def flag_complex(G: SimplicialComplex) -> SimplicialComplex:
             x.add(v)
 
     extend(set(), set(adj), set())
-    return SimplicialComplex(G.m, _maximal(cliques), _trusted=True)
+    return SimplicialComplex(G.m, cliques, _trusted=True)
 
 
 def perfect_elimination_order(G: SimplicialComplex) -> tuple[int, ...] | None:

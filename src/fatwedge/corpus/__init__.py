@@ -10,11 +10,11 @@ reconstructed from its six minimal non-faces through a double Alexander dual.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
-from ..complexes import (alexander_dual, make_complex, max_neighborliness,
-                        minimal_nonfaces, run, shared, verts)
+from ..complexes import (alexander_dual, is_chordal, make_complex,
+                         max_neighborliness, minimal_nonfaces, run, shared,
+                         verts)
 from ..criteria import (collapse_search, fill_search, is_dual_scm,
                        is_dual_shellable, strong_gcd_search)
 from ..homology import ZZ, dK, reduced_homology
@@ -36,64 +36,15 @@ def load(name: str):
     return parse_complex(files.joinpath(f"{name}.json").read_text("utf-8"))
 
 
-def _check_homology(K, want: dict):
+def _homology(K):
     prof = reduced_homology(K, ZZ)
-    got = {str(q): {"free": prof.betti(q), "torsion": list(prof.torsion_at(q))}
-           for q in prof.nonzero_degrees()}
-    return got == want, got
+    return {str(q): {"free": prof.betti(q), "torsion": list(prof.torsion_at(q))}
+            for q in prof.nonzero_degrees()}
 
 
-_CHECKS = {}
-
-
-def _register(key):
-    def deco(fn):
-        _CHECKS[key] = fn
-        return fn
-    return deco
-
-
-@_register("homology_Z")
-def _c_homology(K, want):
-    return _check_homology(K, want)
-
-
-@_register("minimal_nonfaces")
-def _c_mnf(K, want):
-    got = [list(verts(M)) for M in minimal_nonfaces(K)]
-    return got == sorted(map(sorted, want)), got
-
-
-@_register("max_neighborliness")
-def _c_nb(K, want):
-    got = max_neighborliness(K)
-    return got == want, got
-
-
-@_register("dK")
-def _c_dk(K, want):
+def _dk(K):
     d = dK(K)
-    got = "acyclic" if d is None else d
-    return got == want, got
-
-
-@_register("golod")
-def _c_golod(K, want):
-    """The certificate's Golod report, built here only when it has none
-    (a complex with a ghost on which a rule fired)."""
-    from ..certify import golod_report
-    report = _certificate(K).golod
-    if report is None:
-        report = golod_report(K)
-    got = report.golod
-    return got == want, got
-
-
-@_register("chordal")
-def _c_chordal(K, want):
-    from ..complexes import is_chordal
-    got = is_chordal(K.skeleton(1))
-    return got == want, got
+    return "acyclic" if d is None else d
 
 
 def _certificate(K):
@@ -102,46 +53,14 @@ def _certificate(K):
     return shared(("certificate", K), lambda: certify_fwf_trivial(K))
 
 
-@_register("certify_verdict")
-def _c_verdict(K, want):
-    got = _certificate(K).verdict
-    return got == want, got
-
-
-@_register("certify_rule")
-def _c_rule(K, want):
-    got = _certificate(K).rule
-    return got == want, got
-
-
-@_register("dual_scm_Z")
-def _c_dual_scm(K, want):
-    got = is_dual_scm(K, ZZ)
-    return got == want, got
-
-
-@_register("dual_shellable")
-def _c_dual_shell(K, want):
-    got = is_dual_shellable(K).status
-    return got == want, got
-
-
-@_register("strong_gcd")
-def _c_gcd(K, want):
-    got = strong_gcd_search(K).status
-    return got == want, got
-
-
-@_register("fill_contractible")
-def _c_fill(K, want):
-    got = fill_search(K).status
-    return got == want, got
-
-
-@_register("collapse")
-def _c_collapse(K, want):
-    got = collapse_search(K).status
-    return got == want, got
+def _golod(K):
+    """The certificate's Golod report, built here only when it has none
+    (a complex with a ghost on which a rule fired)."""
+    from ..certify import golod_report
+    report = _certificate(K).golod
+    if report is None:
+        report = golod_report(K)
+    return report.golod
 
 
 def _hochster_report(K):
@@ -149,30 +68,42 @@ def _hochster_report(K):
     return shared(("hochster", K), lambda: hochster_identity_check(K, ZZ))
 
 
-@_register("hochster_identity")
-def _c_hochster(K, want):
-    got = _hochster_report(K).equal
-    return got == want, got
-
-
-@_register("rmac_counts")
-def _c_rmac_counts(K, want):
-    got = {str(d): n for d, n in _hochster_report(K).face_counts.items()}
-    return got == want, got
+#: check key of the "expected" block -> the value the complex gives
+_CHECKS = {
+    "homology_Z": _homology,
+    "minimal_nonfaces": lambda K: [list(verts(M)) for M in minimal_nonfaces(K)],
+    "max_neighborliness": max_neighborliness,
+    "dK": _dk,
+    "golod": _golod,
+    "chordal": lambda K: is_chordal(K.skeleton(1)),
+    "certify_verdict": lambda K: _certificate(K).verdict,
+    "certify_rule": lambda K: _certificate(K).rule,
+    "dual_scm_Z": lambda K: is_dual_scm(K, ZZ),
+    "dual_shellable": lambda K: is_dual_shellable(K).status,
+    "strong_gcd": lambda K: strong_gcd_search(K).status,
+    "fill_contractible": lambda K: fill_search(K).status,
+    "collapse": lambda K: collapse_search(K).status,
+    "hochster_identity": lambda K: _hochster_report(K).equal,
+    "rmac_counts": lambda K: {str(d): n for d, n
+                              in _hochster_report(K).face_counts.items()},
+}
 
 
 def verify_expected(doc) -> list[tuple[str, bool, object]]:
-    """Run every expected-block check; returns (key, ok, got) triples."""
+    """Run every expected-block check; returns (key, ok, got) triples.
+    Minimal non-faces are compared in canonical order."""
     K = doc.complex()
     results = []
     with run():
         for key, want in sorted((doc.expected or {}).items()):
-            fn = _CHECKS.get(key)
-            if fn is None:
+            check = _CHECKS.get(key)
+            if check is None:
                 results.append((key, False, f"unknown check {key!r}"))
                 continue
-            ok, got = fn(K, want)
-            results.append((key, bool(ok), got))
+            got = check(K)
+            if key == "minimal_nonfaces":
+                want = sorted(map(sorted, want))
+            results.append((key, got == want, got))
     return results
 
 

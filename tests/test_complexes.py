@@ -1,11 +1,12 @@
+import itertools
 import random
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatwedge.complexes import (_STORE, SimplicialComplex, _maximal,
-                                _restricted_facets, alexander_dual,
+from fatwedge.complexes import (_STORE, SimplicialComplex, _compress,
+                                _maximal, _restricted_facets, alexander_dual,
                                 boundary_of_simplex, core_mask,
                                 dominated_vertex, empty_complex, flag_complex,
                                 full_subcomplex, is_chordal, join,
@@ -34,6 +35,83 @@ C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 
 def facet_tuples(K):
     return [verts(f) for f in K.facets]
+
+
+def _verts_bit_by_bit(mask):
+    out = []
+    v = 1
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+def _compress_bit_by_bit(mask, imask):
+    out = 0
+    pos = 0
+    while imask:
+        low = imask & -imask
+        if mask & low:
+            out |= 1 << pos
+        pos += 1
+        imask ^= low
+    return out
+
+
+class TestBitmasks:
+    def test_verts_matches_a_walk_over_every_bit(self):
+        rng = random.Random(2500)
+        masks = [0, 1, (1 << 2500) - 1, 1 << 2499, (1 << 2499) | 1]
+        for _ in range(200):
+            n = rng.randint(1, 2500)
+            density = rng.choice((0.001, 0.05, 0.5, 0.95))
+            masks.append(sum(1 << i for i in range(n) if rng.random() < density))
+        for mask in masks:
+            assert verts(mask) == _verts_bit_by_bit(mask)
+
+    def test_compress_matches_a_walk_over_every_bit_of_i(self):
+        # every (mask, I) pair on [7], masks with bits outside I included
+        for imask in range(1 << 7):
+            for mask in range(1 << 7):
+                assert _compress(mask, imask) == \
+                    _compress_bit_by_bit(mask, imask), (mask, imask)
+
+
+class TestNoMaximalityPass:
+    """join, flag_complex and skeleton build their facets directly; the
+    families they pass are already antichains."""
+
+    def test_join_facets_are_maximal(self):
+        rng = random.Random(2601)
+        for _ in range(60):
+            A, B = random_complex(rng, max_m=4), random_complex(rng, max_m=4)
+            products = [f | g << A.m for f in A.facets for g in B.facets]
+            assert join(A, B) == SimplicialComplex(A.m + B.m, products)
+
+    def test_flag_complex_is_generated_by_every_clique(self):
+        rng = random.Random(2602)
+        for _ in range(60):
+            G = random_graph(rng, max_m=8)
+            edges = set(G.faces(1))
+            cliques = [c for c in range(1, 1 << G.m)
+                       if all(e in edges for e in _pairs(c))]
+            assert flag_complex(G) == SimplicialComplex(G.m, cliques)
+
+    def test_skeleton_facets_are_maximal(self):
+        rng = random.Random(2603)
+        for _ in range(60):
+            K = random_complex(rng, max_m=7)
+            for k in range(-1, K.dim):
+                faces = [s for s in range(1 << K.m)
+                         if K.has_face(s) and s.bit_count() <= k + 1]
+                assert K.skeleton(k) == SimplicialComplex(K.m, faces), (K, k)
+
+
+def _pairs(mask):
+    vs = verts(mask)
+    return [mask_of(p) for p in itertools.combinations(vs, 2)]
 
 
 class TestMakeComplex:

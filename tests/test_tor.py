@@ -11,7 +11,8 @@ from fatwedge.corpus import berglund_complex, load
 from fatwedge.certify import golod_report
 from fatwedge import homology, tor
 from fatwedge.homology import (GF, QQ, ZZ, HomologyProfile, chain_homology,
-                               full_subcomplex_homology, reduced_homology)
+                               full_subcomplex_homology,
+                               full_subcomplex_profiles, reduced_homology)
 from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
                           hochster_tor_check, tor_dimensions, torsion_primes)
 
@@ -319,6 +320,18 @@ class TestKunnethGate:
         assert tor.kunneth_join(reduced_homology(empty_complex(1), ZZ),
                                 reduced_homology(RP2, ZZ)) == \
             reduced_homology(RP2, ZZ)
+
+    def test_join_pair_reaches_the_tor_term(self):
+        # K = RP2 * RP2 on 12 vertices, I and J the two copies: K_{I u J} = K
+        # has H~_3 = Z/2 and H~_4 = Z/2, and the group in degree 4 comes only
+        # from Tor(H~_1(K_I), H~_1(K_J)); the first nonzero degree is 3
+        RP2_6 = load("rp2_6").complex()
+        K = join(RP2_6, RP2_6)
+        with run():
+            profiles = full_subcomplex_profiles(K)
+            assert profiles[(1 << 12) - 1].torsion == {3: (2,), 4: (2,)}
+            assert tor._join_pair_nonzero(K, 0b111111, 0b111111 << 6,
+                                          profiles, ZZ) == 3
 
     def test_planted_wrong_prediction_raises(self, monkeypatch):
         real = tor.kunneth_join
