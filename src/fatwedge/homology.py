@@ -9,11 +9,11 @@ Boundary matrices are kept column-sparse.  Bulk invariants go through the
 one sparse integral eliminator in ``snf``: one reduction gives the Smith
 divisors of every boundary map, hence the integral profile, which the
 complex keeps; every field is read off it by universal coefficients
-(``HomologyProfile.over``).  Homology bases with representative cycles,
-needed to test inclusions of subcomplexes and Tor products for zero, are
-read off two dense transform-carrying Smith forms over Z, on the small
-complexes where classes are actually tested; the same two forms give the
-bases over Z, Q and Z/p, and each basis checks its rank against the profile.
+(``HomologyProfile.over``).  The same eliminator tests whether chains are
+boundaries (``are_boundaries``), all the inclusion test and the Tor
+products ask where a class lands.  Homology bases with representative
+cycles, read off two dense Smith forms over Z, name the classes where they
+live, over Z, Q and Z/p alike; each checks its rank against the profile.
 
 The homology of a simplicial complex K is read off its strong-collapse core
 K_J (``complexes.core_mask``), kept by the run under ("core", K): deleting a
@@ -34,13 +34,14 @@ inclusion test need the cells of K itself and take its own chain complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import (SimplicialComplex, _compress, _restricted_facets,
                         core_mask, dominated_vertex, full_subcomplex, run,
                         shared, verts)
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
-                  prime_factors, smith_normal_form)
+                  prime_factors, smith_normal_form, sparse_rank_divisors)
 
 # Tally of boundary-squared verifications, one per chain complex constructed
 # (simplicial, cubical or Koszul); the acceptance suite reads this to confirm
@@ -442,7 +443,7 @@ def dK(K: SimplicialComplex) -> int | None:
                default=None)
 
 
-# -- homology bases and inclusions ------------------------------------------
+# -- homology bases, boundaries and inclusions ------------------------------
 
 def _dense_boundary(cc: ChainComplex, q: int) -> list[list[int]]:
     nrows = cc.dim(q - 1)
@@ -455,50 +456,46 @@ def _dense_boundary(cc: ChainComplex, q: int) -> list[list[int]]:
 
 
 class HomologyBasis:
-    """Generators with representative cycles for H_q(cc; ring), plus a
-    class-coordinate map used to push chains into homology coordinates.
+    """Generators with representative cycles for H_q(cc; ring) and their
+    orders: 0 when free (always over a field), else the torsion order.
 
     One construction serves Z, Q and Z/p, on two integral Smith forms: that
-    of d_q, U d_q V = D with divisors d_j (j < r), and that of the boundaries
-    d_{q+1} written in the cycle coordinates y_{r:} of y = V^-1 x, with
-    divisors e_i.  In the coordinates z = (y_{:r}, U' y_{r:}), where U' is the
-    row transform of the second form, a chain is a cycle over the ring
-    exactly when d_j z_j = 0 there for every j < r, and the boundaries are the
-    multiples of e_i in slot r + i (nothing past the rank of the second
-    form).  A slot gives a class when its d is zero in the ring and its e is
-    not a unit: over Z the torsion e > 1 and the free slots past the rank;
-    over Q the free slots only; over Z/p every e that p divides, and every d_j
-    that p divides, the Tor(H_{q-1}, Z/p) part of universal coefficients.
+    of d_q, d_q V = U^-1 D with divisors d_j (j < r), and that of d_{q+1} in
+    the cycle coordinates y_{r:} of y = V^-1 x, with divisors e_i (0 past
+    its rank) and inverse row transform W.  Slot j < r carries (d_j, 0) and
+    slot r + i carries (0, e_i); it gives a class when its d is zero in the
+    ring and its e is not a unit: over Z the torsion e > 1 and the free
+    slots past the rank; over Q the free slots only; over Z/p every e that p
+    divides, and every d_j that p divides, the Tor(H_{q-1}, Z/p) part of
+    universal coefficients.  The generator is column j of V, or V times
+    column i of W in the cycle coordinates.
     """
 
     def __init__(self, cc: ChainComplex, ring: CoefficientRing, q: int):
-        self.cc = cc
-        self.ring = ring
-        self.q = q
-        n = self.n = cc.dim(q)
+        def is_zero(x: int) -> bool:
+            return x % ring.p == 0 if ring.p else x == 0
+
+        n = cc.dim(q)
         if q in cc.boundary:
             dq = smith_normal_form(_dense_boundary(cc, q))
-            V, self._v_inv, self._ds = dq.V, dq.v_inv, dq.divisors
+            V, v_inv, ds = dq.V, dq.v_inv, dq.divisors
         else:
-            V = self._v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
-            self._ds = ()
-        r = len(self._ds)
+            V = v_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+            ds = ()
+        r = len(ds)
         rows: list[list[int]] = [[] for _ in range(r, n)]
         for col in cc.boundary.get(q + 1, ()):
-            y = self._chain_coords(col)
-            for row, yk in zip(rows, y[r:]):
-                row.append(yk)
+            # y_{r:} of y = V^-1 x
+            for row, v_row in zip(rows, v_inv[r:]):
+                row.append(sum(v_row[i] * v for i, v in col.items()))
         bq = smith_normal_form(rows)
-        self._u = bq.U
         es = bq.divisors + (0,) * (n - r - bq.rank)
-        self._slots = []    # (slot of z, modulus of its coordinate)
         self.generators = []
         self.orders = []
-        for s, (d, e) in enumerate([(d, 0) for d in self._ds] + [(0, e) for e in es]):
-            unit = e == 1 if ring.kind == "Z" else not self._is_zero(e)
-            if unit or not self._is_zero(d):
+        for s, (d, e) in enumerate([(d, 0) for d in ds] + [(0, e) for e in es]):
+            unit = e == 1 if ring.kind == "Z" else not is_zero(e)
+            if unit or not is_zero(d):
                 continue
-            self._slots.append((s, ring.p or e))
             self.orders.append(0 if ring.is_field else e)
             if s < r:
                 self.generators.append([row[s] for row in V])
@@ -511,37 +508,32 @@ class HomologyBasis:
                 (prof.betti(q), prof.torsion_at(q)):
             raise AssertionError("homology basis rank mismatch")
 
-    # orders: 0 = infinite (free generator, and every generator over a
-    # field), d >= 2 = torsion of order d
     @property
     def rank(self) -> int:
         return len(self.orders)
 
-    def _is_zero(self, x: int) -> bool:
-        p = self.ring.p
-        return x % p == 0 if p else x == 0
 
-    def _chain_coords(self, chain: Mapping[int, int]) -> list[int]:
-        """y = V^-1 x of a sparse chain x."""
-        return [sum(row[i] * v for i, v in chain.items()) for row in self._v_inv]
+def are_boundaries(cc: ChainComplex, q: int,
+                   chains: Sequence[Mapping[int, int]],
+                   ring: CoefficientRing) -> bool:
+    """Whether the q-cycles in chains (sparse) are all boundaries of cc over
+    ring, by the sparse eliminator on d_{q+1} with and without them.
 
-    def class_coords(self, chain: Mapping[int, int]) -> list:
-        """Coordinates of a cycle's class in the generator basis.
+    The boundaries B lie in the span B' of both.  B = B' exactly when the
+    rank is unchanged over Q, the count of divisors that p does not divide
+    over Z/p, and over Z the rank and the product of the divisors: lattices
+    of equal rank share one saturation, where each has that product as index.
+    """
+    def invariant(columns) -> int | tuple[int, int]:
+        rank, divisors = sparse_rank_divisors(columns, cc.dim(q))
+        if ring.kind == "Q":
+            return rank
+        if ring.kind == "Zp":
+            return sum(1 for d in divisors if d % ring.p)
+        return rank, prod(divisors)
 
-        Over Z the i-th coordinate is reduced mod the i-th generator's order
-        (for torsion generators), over Z/p mod p; the class is zero iff all
-        coordinates are.
-        """
-        y = self._chain_coords(chain)
-        # d_q x = U^-1 D y
-        if not all(self._is_zero(d * y[j]) for j, d in enumerate(self._ds)):
-            raise ValueError("chain is not a cycle")
-        r = len(self._ds)
-        z = y[:r] + [sum(u * yk for u, yk in zip(row, y[r:])) for row in self._u]
-        return [z[s] % m if m else z[s] for s, m in self._slots]
-
-    def is_zero_class(self, chain: Mapping[int, int]) -> bool:
-        return not any(self.class_coords(chain))
+    up = cc.boundary.get(q + 1, ())
+    return invariant(up) == invariant([*up, *chains])
 
 
 def is_zero_on_homology(ccA: ChainComplex, ccB: ChainComplex,
@@ -550,8 +542,9 @@ def is_zero_on_homology(ccA: ChainComplex, ccB: ChainComplex,
     """True iff the inclusion of ccA in ccB vanishes on H_q for every (given) q.
 
     ccA must be a subcomplex of ccB cell for cell, with the same labels in
-    each degree; each generator of H_q(ccA) is carried into ccB unchanged and
-    tested there.  A cell of a pushed cycle that ccB lacks raises ValueError.
+    each degree; the generators of H_q(ccA) are carried into ccB unchanged
+    and tested there at once (``are_boundaries``).  A cell of a pushed cycle
+    that ccB lacks raises ValueError.
     """
     src = chain_homology(ccA, ring)
     for q in src.nonzero_degrees() if degrees is None else degrees:
@@ -566,6 +559,6 @@ def is_zero_on_homology(ccA: ChainComplex, ccB: ChainComplex,
         except KeyError:
             raise ValueError(f"source is not a subcomplex of the target in "
                              f"degree {q}") from None
-        if not all(map(HomologyBasis(ccB, ring, q).is_zero_class, pushed)):
+        if not are_boundaries(ccB, q, pushed, ring):
             return False
     return True

@@ -1,21 +1,22 @@
 """Exact integer linear algebra: Smith normal form and sparse elimination.
 
 Two engines share this module.  ``smith_normal_form`` is a dense
-transform-carrying reduction used where kernel/cokernel bases are needed
-(homology generators over Z, Q and Z/p, classes tested for zero, Tor
-products); entries are Python ints, so there is no overflow.
-``complex_rank_divisors`` is the one sparse eliminator, over Z and
-divisors-only, for the bulk homology computations, where boundary matrices
-are large but almost all pivots are units: unit pivots are eliminated and
-split off, and whatever remains is handed to the dense routine.  It keeps
-one set of live-cell flags, entry counts and transpose lists.  Zero-cost
-pivots (a unit alone in its column or row) come from a FIFO worklist, the
-coreduction cascade of Mrozek and Batko; they only delete entries, so they
-read the caller's columns in place.  When none is left, the surviving
-columns are copied and the cheapest unit by Markowitz cost comes off a heap
-and is eliminated with fill-in.  Its divisors give the integral homology of
-a complex, and ``homology`` reads every field off that by universal
-coefficients.  ``sparse_rank_divisors`` runs it on one matrix.
+reduction carrying the column transform and the inverse row transform,
+used only where homology generators over Z, Q and Z/p are named; entries
+are Python ints, so there is no overflow.  ``complex_rank_divisors`` is the
+one sparse eliminator, over Z and divisors-only, for the bulk homology
+computations and every boundary test (``homology.are_boundaries``), where
+boundary matrices are large but almost all pivots are units: unit pivots
+are eliminated and split off, and whatever remains is handed to the dense
+routine.  It keeps one set of live-cell flags, entry counts and transpose
+lists.  Zero-cost pivots (a unit alone in its column or row) come from a
+FIFO worklist, the coreduction cascade of Mrozek and Batko; they only
+delete entries, so they read the caller's columns in place.  When none is
+left, the surviving columns are copied and the cheapest unit by Markowitz
+cost comes off a heap and is eliminated with fill-in.  Its divisors give
+the integral homology of a complex, and ``homology`` reads every field off
+that by universal coefficients.  ``sparse_rank_divisors`` runs it on one
+matrix.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ from math import gcd
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U @ A @ V = diag(divisors), with U, V unimodular.
+    """A @ V = u_inv @ diag(divisors), with V and u_inv unimodular.
 
     divisors is the nonzero diagonal d_1 | d_2 | ... | d_r (all positive);
-    rank = r.  u_inv and v_inv are the inverses of U and V, accumulated during
-    the reduction so callers never invert a matrix.
+    rank = r.  V, its inverse v_inv and u_inv, the inverse of the row
+    transform, are accumulated during the reduction, so no caller inverts.
     """
 
     shape: tuple[int, int]
     divisors: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
     u_inv: tuple[tuple[int, ...], ...]
     v_inv: tuple[tuple[int, ...], ...]
@@ -66,14 +66,12 @@ def smith_normal_form(matrix) -> SNFResult:
     ncols = len(A[0]) if nrows else 0
     if any(len(row) != ncols for row in A):
         raise ValueError("ragged matrix")
-    U = _identity(nrows)
     Uinv = _identity(nrows)
     V = _identity(ncols)
     Vinv = _identity(ncols)
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
         for r in Uinv:
             r[i], r[j] = r[j], r[i]
 
@@ -89,9 +87,6 @@ def smith_normal_form(matrix) -> SNFResult:
         Ad, As = A[dst], A[src]
         for k in range(ncols):
             Ad[k] += c * As[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(nrows):
-            Ud[k] += c * Us[k]
         for r in Uinv:
             r[src] -= c * r[dst]
 
@@ -107,7 +102,6 @@ def smith_normal_form(matrix) -> SNFResult:
 
     def row_negate(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
         for r in Uinv:
             r[i] = -r[i]
 
@@ -176,7 +170,6 @@ def smith_normal_form(matrix) -> SNFResult:
     return SNFResult(
         shape=(nrows, ncols),
         divisors=divisors,
-        U=tuple(tuple(r) for r in U),
         V=tuple(tuple(r) for r in V),
         u_inv=tuple(tuple(r) for r in Uinv),
         v_inv=tuple(tuple(r) for r in Vinv),

@@ -11,6 +11,7 @@ from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
 from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, HomologyProfile,
+                               are_boundaries,
                                build_simplicial_chain_complex, chain_homology,
                                dK, full_subcomplex_homology,
                                full_subcomplex_profiles, hodim,
@@ -437,8 +438,10 @@ class TestSplitFullSubcomplex:
 
 class TestHomologyBases:
     """Bases over Z, Q, Z/2 and Z/3 against the naive dense oracles: the
-    number of classes, the coordinates of sum c_i g_i plus a random
-    boundary, and the zero test."""
+    number of classes, and that sum c_i g_i plus a random boundary is a
+    boundary exactly when each c_i is zero mod the order of g_i (mod p over
+    Z/p).  ``are_boundaries`` must give the naive answer for each chain,
+    and for several chains at once the AND of their answers."""
 
     rings = (ZZ, QQ, GF(2), GF(3))
 
@@ -450,6 +453,7 @@ class TestHomologyBases:
                     - naive_rank_mod_p(dense_boundary(K, q + 1), ring.p))
             assert hb.rank == want
         up = cc.boundary.get(q + 1, ())
+        chains, answers = [], []
         for trial in range(6):
             if trial == 0:
                 c = [0] * hb.rank
@@ -466,9 +470,15 @@ class TestHomologyBases:
             want = [ci % (ring.p or d) if ring.p or d else ci
                     for ci, d in zip(c, hb.orders)]
             chain = {i: v for i, v in enumerate(z) if v}
-            assert hb.class_coords(chain) == want, (K, ring, q, c)
-            assert hb.is_zero_class(chain) == naive_is_boundary(K, q, z, ring), \
+            naive = naive_is_boundary(K, q, z, ring)
+            assert naive == (not any(want)), (K, ring, q, c)
+            assert are_boundaries(cc, q, [chain], ring) == naive, \
                 (K, ring, q, c)
+            chains.append(chain)
+            answers.append(naive)
+        assert are_boundaries(cc, q, chains, ring) == all(answers)
+        assert are_boundaries(
+            cc, q, [ch for ch, a in zip(chains, answers) if a], ring)
 
     def test_rp2(self):
         rng = random.Random(7)

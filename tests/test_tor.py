@@ -17,8 +17,8 @@ from fatwedge.tor import (build_tor, golod_via_join, golod_via_tor,
                           hochster_tor_check, tor_dimensions, torsion_primes)
 
 from helpers import (TorBasisElement, basis_product, nested_disjoint_pairs,
-                     random_complex, reference_golod_via_join, verify_leibniz,
-                     with_ground)
+                     random_complex, reference_golod_via_join, rp2_with_cones,
+                     verify_leibniz, with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -250,6 +250,22 @@ class TestGolodOracles:
         with pytest.raises(AssertionError, match="Hochster gives 2"):
             golod_via_tor(C4, QQ)
 
+    def test_inflated_target_dimension_raises(self, monkeypatch):
+        # K_{1234} of C4 is only ever the target of a product, which gets
+        # no basis: its cohomology is checked against Hochster all the same
+        real = homology._integral_profiles
+
+        def inflated(K):
+            table = dict(real(K))
+            table[0b1111] = HomologyProfile(ZZ, {1: 2})
+            return table
+
+        monkeypatch.setattr(homology, "_integral_profiles", inflated)
+        with pytest.raises(AssertionError,
+                           match=r"piece \(1, 2, 3, 4\) has rank 1 in degree 6, "
+                                 "Hochster gives 2"):
+            golod_via_tor(C4, QQ)
+
     def test_oracles_agree_on_random_complexes(self):
         rng = random.Random(4)
         for _ in range(30):
@@ -374,6 +390,63 @@ class TestKunnethGate:
             assert built and _STORE.get()
             gc.collect()
             assert all(ref() is None for ref in built)
+
+
+class TestNoBasisWhereClassesLand:
+    def test_golod_report_builds_no_basis_on_a_join_or_a_tor_target(
+            self, monkeypatch):
+        # a join or a Tor target is only asked whether chains are
+        # boundaries: bases are built on the source of a join inclusion and
+        # on the factors of a Tor product, so none receives a join's chains,
+        # and every Koszul piece basis is one a product reads as a factor.
+        # The join's chains are still built once per pair that passes the
+        # Kunneth gate, for the Kunneth check
+        join_side, tor_side, joins, gated = [], [], [], []
+        factors, targets = set(), set()     # (piece, degree q = -t)
+        real_basis = homology.HomologyBasis
+
+        def spy(calls):
+            def basis(cc, ring, q):
+                calls.append((cc, q))
+                return real_basis(cc, ring, q)
+            return basis
+
+        monkeypatch.setattr(homology, "HomologyBasis", spy(join_side))
+        monkeypatch.setattr(tor, "HomologyBasis", spy(tor_side))
+        real_chains = tor.build_simplicial_chain_complex
+
+        def chains(B):
+            joins.append(real_chains(B))
+            return joins[-1]
+
+        monkeypatch.setattr(tor, "build_simplicial_chain_complex", chains)
+        real_pair = tor._join_pair_nonzero
+
+        def pair(K, imask, jmask, profiles, ring):
+            target = tor.kunneth_join(profiles[imask], profiles[jmask])
+            if any(target.betti(q) or target.torsion_at(q)
+                   for q in profiles[imask | jmask].nonzero_degrees()):
+                gated.append((imask, jmask))
+            return real_pair(K, imask, jmask, profiles, ring)
+
+        monkeypatch.setattr(tor, "_join_pair_nonzero", pair)
+        real_product = tor.TorAlgebra.product_class_is_zero
+
+        def product(alg, imask, t1, gen1, jmask, t2, gen2):
+            factors.update({(alg.piece(imask), -t1), (alg.piece(jmask), -t2)})
+            targets.add((alg.piece(imask | jmask), -(t1 + t2)))
+            return real_product(alg, imask, t1, gen1, jmask, t2, gen2)
+
+        monkeypatch.setattr(tor.TorAlgebra, "product_class_is_zero", product)
+        rng = random.Random(2707)
+        cases = [GOLOD7, RP2] + [rp2_with_cones(rng) for _ in range(20)]
+        for K in cases:
+            with run():
+                golod_report(K)
+        built = {id(cc) for cc in joins}
+        assert joins and len(joins) == len(gated)
+        assert join_side and not any(id(cc) in built for cc, _ in join_side)
+        assert targets - factors and set(tor_side) <= factors
 
 
 class TestDisjointPairWalk:
