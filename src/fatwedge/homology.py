@@ -105,11 +105,12 @@ class ChainComplex:
     basis[q] is the tuple of cell labels in degree q; boundary[q][j] maps the
     j-th cell of degree q to a {row: coeff} combination of degree q-1 cells.
     d(d(x)) = 0 is verified at construction and a violation raises.
-    The integral profile is computed on first use by ``chain_homology`` and
-    kept.
+    The integral profile and the rank of every d_q are computed on first
+    use by ``chain_homology`` and kept.
     """
 
-    __slots__ = ("basis", "boundary", "_index", "_profile", "__weakref__")
+    __slots__ = ("basis", "boundary", "_index", "_profile", "_ranks",
+                 "__weakref__")
 
     def __init__(self, basis: Mapping[int, Sequence], boundary: Mapping[int, Sequence[dict]]):
         self.basis = {q: tuple(cells) for q, cells in basis.items() if len(cells) > 0}
@@ -117,6 +118,7 @@ class ChainComplex:
                          if q in self.basis and (q - 1) in self.basis}
         self._index: dict[int, dict] = {}
         self._profile: HomologyProfile | None = None
+        self._ranks: dict[int, int] = {}
         for q, cols in self.boundary.items():
             if len(cols) != len(self.basis[q]):
                 raise ValueError(f"boundary in degree {q} has wrong column count")
@@ -308,12 +310,14 @@ def chain_homology(cc: ChainComplex, ring: CoefficientRing) -> HomologyProfile:
     """Reduced homology profile of an augmented chain complex over ring.
 
     The integral profile comes from one sparse reduction, made on first use
-    and kept by the complex; every field is read off it (``over``).
+    and kept by the complex with the rank of every boundary map; every field
+    is read off it (``over``).
     """
     prof = cc._profile
     if prof is None:
         ranks, divisors = complex_rank_divisors(
             cc.boundary, {q: cc.dim(q) for q in cc.basis})
+        cc._ranks = ranks
         prof = cc._profile = HomologyProfile(
             ZZ, {q: cc.dim(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
                  for q in cc.basis},
@@ -517,23 +521,27 @@ def are_boundaries(cc: ChainComplex, q: int,
                    chains: Sequence[Mapping[int, int]],
                    ring: CoefficientRing) -> bool:
     """Whether the q-cycles in chains (sparse) are all boundaries of cc over
-    ring, by the sparse eliminator on d_{q+1} with and without them.
+    ring, by the sparse eliminator on d_{q+1} with them appended.
 
-    The boundaries B lie in the span B' of both.  B = B' exactly when the
-    rank is unchanged over Q, the count of divisors that p does not divide
-    over Z/p, and over Z the rank and the product of the divisors: lattices
-    of equal rank share one saturation, where each has that product as index.
+    The boundaries B lie in the span B' of d_{q+1} and the chains.  B = B'
+    exactly when the rank is unchanged over Q, the count of divisors that p
+    does not divide over Z/p, and over Z the rank and the product of the
+    divisors: lattices of equal rank share one saturation, where each has
+    that product as index.  The invariant of B is read off the complex's
+    kept reduction: the rank r of d_{q+1}, whose divisors past the units are
+    the torsion of H_q, so over Z/p it is r less the torsion factors that p
+    divides.
     """
-    def invariant(columns) -> int | tuple[int, int]:
-        rank, divisors = sparse_rank_divisors(columns, cc.dim(q))
-        if ring.kind == "Q":
-            return rank
-        if ring.kind == "Zp":
-            return sum(1 for d in divisors if d % ring.p)
-        return rank, prod(divisors)
-
-    up = cc.boundary.get(q + 1, ())
-    return invariant(up) == invariant([*up, *chains])
+    tors = chain_homology(cc, ZZ).torsion_at(q)
+    rank = cc._ranks.get(q + 1, 0)
+    spanned, divisors = sparse_rank_divisors(
+        [*cc.boundary.get(q + 1, ()), *chains], cc.dim(q))
+    if ring.kind == "Q":
+        return spanned == rank
+    if ring.kind == "Zp":
+        return (sum(1 for d in divisors if d % ring.p)
+                == rank - sum(1 for d in tors if d % ring.p == 0))
+    return (spanned, prod(divisors)) == (rank, prod(tors))
 
 
 def is_zero_on_homology(ccA: ChainComplex, ccB: ChainComplex,

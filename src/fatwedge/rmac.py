@@ -9,11 +9,17 @@ filtration level i keeps the faces with |sigma| >= m - i.
 A cell is stored as the integer code (sigma << m) | tau.  Since tau < 2^m,
 codes sort exactly like (sigma, tau) pairs.  No geometric coordinates are
 ever materialized, since homology only needs the cellular chain complex.
+The facets of a cell sit at code offsets that depend only on its free set
+tau - sigma, so ``cubical_homology`` coreduces the cells on their codes
+(Mrozek and Batko, "Coreduction homology algorithm", Discrete Comput. Geom.
+41, 2009) and builds boundary columns only for the cells that survive.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .complexes import SimplicialComplex, run, subsets_of
 from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
@@ -73,16 +79,33 @@ def rmac_filtration(K: SimplicialComplex, i: int, max_m: int = DEFAULT_MAX_M,
     return CubicalComplex(m, faces)
 
 
+def _face_offsets(mu: int, m: int) -> tuple[tuple[int, int], ...]:
+    """(offset, sign) of each facet of a cell with free set mu.
+
+    The k-th smallest free coordinate b gives the facets code - b (b leaves
+    tau) with sign (-1)^(k-1) and code + (b << m) (b joins sigma) with the
+    opposite sign.  The offsets depend on mu alone, so one tuple serves
+    every cell with that free set.
+    """
+    out: list[tuple[int, int]] = []
+    sign = 1
+    while mu:
+        b = mu & -mu
+        mu ^= b
+        out += ((-b, sign), (b << m, -sign))
+        sign = -sign
+    return tuple(out)
+
+
 def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
-    """Augmented cellular chains of a cubical complex.
+    """Augmented cellular chains of a cubical complex, every cell a column.
 
     The boundary of C_{sigma <= tau} alternates over the free coordinates in
     ascending order: the k-th smallest free coordinate j contributes
-    (-1)^(k-1) * (C_{sigma <= tau-j} - C_{sigma+j <= tau}).
+    (-1)^(k-1) * (C_{sigma <= tau-j} - C_{sigma+j <= tau})
+    (``_face_offsets``).  ``cubical_homology`` reduces only the cells that
+    survive coreduction; these full chains are its reference.
     """
-    basis: dict[int, tuple] = {-1: (0,)}
-    for d, cells in C.faces.items():
-        basis[d] = cells
     m = C.m
     full = (1 << m) - 1
     index = {d: {c: i for i, c in enumerate(cells)}
@@ -90,35 +113,131 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
     boundary: dict[int, list[dict[int, int]]] = {}
     if 0 in C.faces:
         boundary[0] = [{0: 1} for _ in C.faces[0]]
-    for d in sorted(C.faces):
-        if d == 0 or (d - 1) not in C.faces:
+    offsets: dict[int, tuple[tuple[int, int], ...]] = {}
+    for d, cells in C.faces.items():
+        if d == 0:
             continue
-        low = index[d - 1]
+        low = index.get(d - 1, {})
         cols = []
-        for key in C.faces[d]:
+        for c in cells:
+            mu = c & full & ~(c >> m)
+            offs = offsets.get(mu)
+            if offs is None:
+                offs = offsets[mu] = _face_offsets(mu, m)
             # the facets (s, t - b) and (s + b, t) differ for every free b,
             # so no two terms of the column land on the same row
             col: dict[int, int] = {}
-            free = key & full & ~(key >> m)
-            sign = 1
-            while free:
-                b = free & -free
-                free ^= b
-                i1 = low.get(key ^ b)
-                i2 = low.get(key | (b << m))
-                if i1 is None or i2 is None:
+            for o, s in offs:
+                i = low.get(c + o)
+                if i is None:
                     raise ValueError("cubical complex is not boundary-closed")
-                col[i1] = sign
-                col[i2] = -sign
-                sign = -sign
+                col[i] = s
             cols.append(col)
         boundary[d] = cols
-    return ChainComplex(basis, boundary)
+    return ChainComplex({-1: (0,), **C.faces}, boundary)
 
 
 def cubical_homology(C: CubicalComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:
-    """Reduced homology of the cubical complex (degree -1 materialized)."""
-    return chain_homology(cubical_chain_complex(C), ring)
+    """Reduced homology of the cubical complex (degree -1 materialized).
+
+    C is coreduced on its cell codes before any column exists (Mrozek and
+    Batko, "Coreduction homology algorithm", Discrete Comput. Geom. 41,
+    2009).  The empty cell is paired with the first vertex; then a FIFO
+    worklist takes every cell left with one live facet and deletes it with
+    that facet.  A pair with a unit entry alone in its column only deletes
+    entries, as in ``snf.complex_rank_divisors``, so the cells that survive,
+    with their boundaries restricted to surviving cells, have the homology
+    of C.  Only they become a ``ChainComplex``, reduced by the one sparse
+    eliminator (torsion, and any component the cascade never reached).
+
+    Checks run on the compact form: every facet of every cell must be a
+    cell of C, and for every free set mu in C the facets of facets, summed
+    as code offsets, must cancel, which is d^2 = 0 on each cell with free
+    set mu since c -> c + x is injective.  The survivors' chain complex runs
+    its own d^2 check.
+    """
+    m = C.m
+    full = (1 << m) - 1
+    blocks: dict[int, list[int]] = {}     # free set -> its cells
+    live: dict[int, int] = {}       # live cell -> number of live facets
+    for d, cells in C.faces.items():
+        # a vertex's one facet is the empty cell, which is paired below
+        live.update(zip(cells, repeat(2 * d)))
+        here: dict[int, list[int]] = {}
+        for c in cells:
+            mu = c & full & ~(c >> m)
+            block = here.get(mu)
+            if block is None:
+                block = here[mu] = []
+            block.append(c)
+        for mu in here:
+            if mu.bit_count() != d:
+                raise ValueError(f"a cell of dimension {mu.bit_count()} "
+                                 f"is listed in dimension {d}")
+        blocks.update(here)
+    offsets = {mu: _face_offsets(mu, m) for mu in blocks}
+    # every facet of every cell is a cell (of the dimension below, as every
+    # cell's dimension was checked), so the counts of live facets are exact
+    for mu, offs in offsets.items():
+        for o, _ in offs:
+            if not all(map(live.__contains__, map(o.__add__, blocks[mu]))):
+                raise ValueError("cubical complex is not boundary-closed")
+    del blocks
+    for mu, offs in offsets.items():
+        acc: dict[int | None, int] = {}
+        for o, s in offs:
+            facet = mu ^ (-o if o < 0 else o >> m)
+            if not facet:
+                acc[None] = acc.get(None, 0) + s    # d(vertex) = empty cell
+                continue
+            for o2, s2 in offsets[facet]:
+                acc[o + o2] = acc.get(o + o2, 0) + s * s2
+        if any(acc.values()):
+            raise ValueError(f"d^2 != 0 on the cells with free set {mu:#b}")
+    # a coface of a cell adds a bit j to its free set mu, taken from sigma
+    # or from outside tau, and mu | j must be a free set of C
+    up = {mu: [(1 << k, 1 << (k + m)) for k in range(m)
+               if not mu >> k & 1 and mu | 1 << k in offsets]
+          for mu in offsets}
+    work: deque[int] = deque()
+
+    def drop(x: int) -> None:
+        # x has died, so each live coface (which counted x) loses a facet
+        for j, js in up[x & full & ~(x >> m)]:
+            y = x - js if x & js else x + j
+            n = live.get(y)
+            if n:
+                live[y] = n - 1
+                if n == 2:
+                    work.append(y)
+
+    if C.faces.get(0):
+        v0 = C.faces[0][0]
+        del live[v0]    # paired with the empty cell
+        drop(v0)
+    while work:
+        c = work.popleft()
+        if live.get(c) != 1:
+            continue
+        for o, _ in offsets[c & full & ~(c >> m)]:
+            if c + o in live:
+                break
+        del live[c], live[c + o]
+        drop(c)
+        drop(c + o)
+    basis = {d: tuple(c for c in cells if c in live)
+             for d, cells in C.faces.items()}
+    del live
+    if not C.faces.get(0):
+        basis[-1] = (0,)    # no vertex to pair the empty cell with
+    boundary: dict[int, list[dict[int, int]]] = {}
+    for d, cells in basis.items():
+        low = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
+        if d > 0 and low:
+            boundary[d] = [
+                {low[c + o]: s for o, s in offsets[c & full & ~(c >> m)]
+                 if c + o in low} for c in cells]
+    return chain_homology(ChainComplex(basis, boundary), ring)
 
 
 @dataclass(frozen=True)
@@ -146,7 +265,9 @@ def hochster_identity_check(K: SimplicialComplex, ring: CoefficientRing = ZZ,
     """H~_q(RZ_K) vs the direct sum of H~_{q-1}(K_I) over nonempty I.
 
     Both sides are computed independently: the left from the cubical cell
-    structure, the right from the table of full-subcomplex homology.
+    structure, coreduced on the cell codes (Mrozek and Batko) before the
+    survivors go to the sparse eliminator (``cubical_homology``), the right
+    from the table of full-subcomplex homology.
     """
     C = build_rmac(K, max_m=max_m, allow_large=allow_large)
     counts = C.counts()

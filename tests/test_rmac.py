@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from fatwedge import homology
+from fatwedge import homology, rmac
 from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
                                 make_complex, run, simplex)
 from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ, ChainComplex
@@ -13,7 +13,8 @@ from fatwedge.rmac import (CubicalComplex, build_rmac, cubical_chain_complex,
                            rmac_filtration)
 from fatwedge.corpus import corpus_names, load
 
-from helpers import random_complex, rmac_face_counts_of_join
+from helpers import (RP2_6, random_complex, rmac_face_counts_of_join,
+                     rp2_with_cones, with_ground)
 from test_complexes import complexes
 
 C4 = make_complex(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
@@ -202,6 +203,83 @@ class TestHomology:
             else:
                 with pytest.raises(ValueError, match="d\\^2 != 0"):
                     ChainComplex(basis, {1: lower, 2: [col]})
+
+
+class TestCoreduction:
+    """cubical_homology coreduces the cells on their codes and hands only the
+    survivors to the eliminator; the full cellular chains are its reference."""
+
+    def test_profiles_match_the_full_chains(self):
+        rng = random.Random(2808)
+        cases = [RP2_6, empty_complex(1), empty_complex(2)]
+        cases += [rp2_with_cones(rng, cones=1) for _ in range(3)]
+        for i in range(150):
+            K = random_complex(rng, max_m=6)
+            cases.append(with_ground(K, K.m + 1) if i % 3 == 0 else K)
+        torsion = 0
+        for K in cases:
+            for X in [build_rmac(K)] + [rmac_filtration(K, i)
+                                        for i in range(K.m + 1)]:
+                cc = cubical_chain_complex(X)
+                for ring in (ZZ, QQ, GF(2), GF(3)):
+                    got = cubical_homology(X, ring)
+                    assert got == homology.chain_homology(cc, ring), (K, ring)
+                    torsion += bool(got.torsion)
+        assert torsion
+
+    def test_no_cells_is_the_empty_cell_alone(self):
+        prof = cubical_homology(CubicalComplex(3, {}), ZZ)
+        assert prof.free == {-1: 1} and not prof.torsion
+
+    def test_eliminator_gets_only_the_survivors(self, monkeypatch):
+        # RZ of sk_2 Delta^6 has 1,808 cells and H~_3 = Z^209; the full
+        # chains would hand the eliminator every cell and the empty one
+        sizes = []
+        real = homology.complex_rank_divisors
+
+        def spy(boundaries, dims):
+            sizes.append(sum(dims.values()))
+            return real(boundaries, dims)
+
+        monkeypatch.setattr(homology, "complex_rank_divisors", spy)
+        C = build_rmac(simplex(7).skeleton(2))
+        assert C.total_faces() == 1808
+        prof = cubical_homology(C, ZZ)
+        assert prof.free == {3: 209} and not prof.torsion
+        assert sizes and max(sizes) <= 209
+
+    def test_missing_facet_is_reported(self):
+        full = build_rmac(C4)
+        for d in (0, 1):
+            faces = dict(full.faces)
+            faces[d] = faces[d][1:]
+            with pytest.raises(ValueError, match="not boundary-closed"):
+                cubical_homology(CubicalComplex(4, faces), ZZ)
+
+    def test_cell_in_the_wrong_dimension_is_reported(self):
+        # the counts of live facets start at 2d, so d must be the cell's
+        full = build_rmac(C4)
+        faces = dict(full.faces)
+        faces[1], faces[2] = faces[1][1:], (faces[1][0], *faces[2])
+        with pytest.raises(ValueError, match="listed in dimension 2"):
+            cubical_homology(CubicalComplex(4, faces), ZZ)
+
+    def test_flipped_sign_in_one_block_fails_the_block_check(
+            self, monkeypatch):
+        # the cascade deletes every cell of the block {1, 2} of the torus,
+        # so only the check on the compact form can see the wrong sign
+        real = rmac._face_offsets
+
+        def flipped(mu, m):
+            offsets = real(mu, m)
+            if mu != 0b11:
+                return offsets
+            (o, s), *rest = offsets
+            return ((o, -s), *rest)
+
+        monkeypatch.setattr(rmac, "_face_offsets", flipped)
+        with pytest.raises(ValueError, match="d\\^2 != 0"):
+            cubical_homology(build_rmac(C4), ZZ)
 
 
 class TestProductRule:

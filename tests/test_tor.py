@@ -448,6 +448,31 @@ class TestNoBasisWhereClassesLand:
         assert join_side and not any(id(cc) in built for cc, _ in join_side)
         assert targets - factors and set(tor_side) <= factors
 
+    def test_each_boundary_test_reduces_once(self, monkeypatch):
+        # the invariant of d_{q+1} alone is read off the complex's kept
+        # reduction, so a boundary test reduces only d_{q+1} with the chains
+        tests, reductions = [], []
+        real_test = homology.are_boundaries
+        real_reduce = homology.sparse_rank_divisors
+
+        def test(*args):
+            tests.append(len(reductions))
+            result = real_test(*args)
+            assert len(reductions) == tests[-1] + 1
+            return result
+
+        def reduce(*args):
+            reductions.append(args)
+            return real_reduce(*args)
+
+        monkeypatch.setattr(homology, "are_boundaries", test)
+        monkeypatch.setattr(tor, "are_boundaries", test)
+        monkeypatch.setattr(homology, "sparse_rank_divisors", reduce)
+        for K in (GOLOD7, RP2):
+            with run():
+                golod_report(K)
+        assert tests and len(reductions) == len(tests)
+
 
 class TestDisjointPairWalk:
     def test_pairs_match_the_nested_walk(self):
