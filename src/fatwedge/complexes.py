@@ -21,12 +21,15 @@ full-subcomplex homology per ring, Koszul pieces and their cohomology bases
 per field, component fill reports -- live in one store, keyed by (kind,
 complex, ...) tuples, so an equal complex held in another object finds them
 too.  The integral table of full-subcomplex homology puts neither full
-subcomplexes nor cores there, only the chains of the K_I with no dominated
-vertex and no ghost.  The store lives as long as a run: the outermost
-``with run():`` (or ``@run()`` function) opens it, nested runs join it, and
-it is dropped when that outermost run ends.  Outside a run
-``shared`` just builds.  The store belongs to the context of the thread
-that opened it; a new thread starts outside any run.
+subcomplexes nor cores there: it derives the facets of each K_I from
+those of K_{I - v} (``_full_subcomplex_facets``), looks each relabelled
+K_I up among those it has built, and builds a complex, whose chains go to
+the store, only for a new K_I with no dominated vertex and no ghost.  The
+store lives as long as a run: the outermost ``with run():`` (or ``@run()``
+function) opens it, nested runs join it, and it is dropped when that
+outermost run ends.  Outside a run ``shared`` just builds.  The store
+belongs to the context of the thread that opened it; a new thread starts
+outside any run.
 """
 
 from __future__ import annotations
@@ -310,6 +313,54 @@ def _restricted_facets(K: SimplicialComplex, mask: int) -> list[int]:
         if not any(g & ~h == 0 for h in kept):
             kept.append(g)
     return kept
+
+
+def _full_subcomplex_facets(
+        K: SimplicialComplex) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(I, facets of K_I in the labels of K, the same relabelled by
+    ``_compress``) for every nonempty I, in increasing mask order; callers
+    must not change the lists.
+
+    Each K_I is derived from K_J, J = I - v with v the lowest bit of I.  A
+    facet h of K_J stays a facet unless h + v is a face of K, and the
+    facets through v are the f & I, over the facets f of K through v, with
+    no face g + u of K for u in I - g.  Both tests read one table of K's
+    faces, each with the mask of vertices u outside it for which face + u is
+    a face (at most 2^m entries, like the subsets walked).  Relabelled, the
+    facets of K_J move up one place and v becomes 1, so only the facets
+    through v are relabelled afresh.  K_J is kept until its last reader,
+    J + v for v half of J's lowest bit: about m/2 lists at once.
+    """
+    link: dict[int, int] = {}
+    through: dict[int, list[int]] = {}
+    for f in K.facets:
+        for s in subsets_of(f):
+            link[s] = link.get(s, 0) | f ^ s
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            through.setdefault(low, []).append(f)
+    kept = {0: ([0], [0])}      # K_0 = {()}
+    for imask in range(1, 1 << K.m):
+        v = imask & -imask
+        rest = imask ^ v
+        if v << 1 == rest & -rest:
+            old, old_relabelled = kept.pop(rest)
+        else:
+            old, old_relabelled = kept[rest]
+        facets, relabelled = [], []
+        for h, c in zip(old, old_relabelled):
+            if not link[h] & v:
+                facets.append(h)
+                relabelled.append(c << 1)
+        for g in {f & imask for f in through.get(v, ())}:
+            if not link[g] & imask:
+                facets.append(g)
+                relabelled.append(_compress(g, imask))
+        if not imask & 1:
+            kept[imask] = facets, relabelled
+        yield imask, facets, relabelled
 
 
 def core_mask(K: SimplicialComplex) -> int:

@@ -25,10 +25,12 @@ subcomplexes is one table per complex and ring, ``full_subcomplex_profiles``,
 which every loop over the 2^m subsets reads (hodim and dK, torsion primes,
 both Golod oracles, the simplicial sides of both Hochster identities, the
 BBCG summands, the sequential Cohen-Macaulay test).  The integral table is
-one pass over the subsets in increasing order: a K_I with a dominated vertex
-v or a ghost g copies the entry of K_{I - v} or K_{I - g}, so only the K_I
-that are their own cores are built and reduced.  Homology bases and the
-inclusion test need the cells of K itself and take its own chain complex.
+one pass over the subsets in increasing order: a K_I equal after
+relabelling to one built earlier copies its entry, and any other K_I with a
+dominated vertex v or a ghost g copies the entry of K_{I - v} or K_{I - g},
+so only the new K_I that are their own cores are built and reduced.
+Homology bases and the inclusion test need the cells of K itself and take
+its own chain complex.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import (SimplicialComplex, _compress, _restricted_facets,
+from .complexes import (SimplicialComplex, _full_subcomplex_facets,
                         core_mask, dominated_vertex, full_subcomplex, run,
                         shared, verts)
 from .snf import (complex_rank_divisors, invariant_factors, is_prime,
@@ -403,32 +405,45 @@ def _integral_profiles(K: SimplicialComplex) -> dict[int, HomologyProfile]:
     """{I: H~(K_I; Z)} over the nonempty I with nonzero homology, from one
     pass over the subsets I in increasing mask order.
 
-    The maximal faces of K_I are found once, in the labels of K.  When some
-    vertex v of K_I is dominated, K_I retracts onto K_{I - v}
+    The facets of each K_I, in the labels of K and relabelled onto 1..|I|,
+    are derived from those of K_{I - v} for the lowest v in I
+    (``complexes._full_subcomplex_facets``).  The relabelled K_I, |I| with
+    its sorted facets, is looked up first among the K_I the table has
+    built, and a K_I equal to one of them copies its entry.  Otherwise,
+    when some vertex v is dominated, K_I retracts onto K_{I - v}
     (``complexes.core_mask``), whose entry is already made and is copied;
-    otherwise a ghost g in I adds no face, so the entry of I - g is copied
-    (that of I = 0 is the entry of {()}, H~_{-1} = Z).  Only a K_I with
-    neither is built, relabelled from those faces, and it is its own
-    strong-collapse core: its chains come from the run
-    (``simplicial_chain_complex``), so equal K_I are reduced once.
+    else a ghost g in I adds no face, so the entry of I - g is copied (that
+    of I = 0 is the entry of {()}, H~_{-1} = Z).  Only a K_I with neither
+    is built as a complex, and it is its own strong-collapse core: its
+    chains come from the run (``simplicial_chain_complex``), so equal K_I
+    are reduced once in a run, whichever table or oracle asks.
+
+    The built K_I are kept per size |I|, each as one int: a 1, then each
+    facet in |I| bits.  Copied ones are not kept: at m = 16 nearly every
+    K_I is new after relabelling and most copy a smaller entry, so their
+    keys would cost more memory than the domination test they save.
     """
     entries = [HomologyProfile(ZZ, {-1: 1})]     # K_0 = {()}
-    for imask in range(1, 1 << K.m):
-        facets = _restricted_facets(K, imask)
-        support = 0
-        for f in facets:
-            support |= f
-        v = dominated_vertex(facets, support)
-        if not v:
-            ghosts = imask & ~support
-            v = ghosts & -ghosts
-        if v:
-            entries.append(entries[imask ^ v])
-            continue
-        KI = SimplicialComplex(imask.bit_count(),
-                               tuple(_compress(f, imask) for f in facets),
-                               _trusted=True)
-        entries.append(chain_homology(simplicial_chain_complex(KI), ZZ))
+    built: list[dict[int, HomologyProfile]] = [{} for _ in range(K.m + 1)]
+    support = K.support
+    for imask, facets, relabelled in _full_subcomplex_facets(K):
+        n = imask.bit_count()
+        relabelled = sorted(relabelled)
+        key = 1
+        for c in relabelled:
+            key = key << n | c
+        prof = built[n].get(key)
+        if prof is None:
+            v = dominated_vertex(facets, imask & support)
+            if not v:
+                ghosts = imask & ~support
+                v = ghosts & -ghosts
+            if v:
+                prof = entries[imask ^ v]
+            else:
+                prof = built[n][key] = chain_homology(simplicial_chain_complex(
+                    SimplicialComplex(n, relabelled, _trusted=True)), ZZ)
+        entries.append(prof)
     return {I: prof for I, prof in enumerate(entries)
             if I and not prof.is_trivial()}
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatwedge.complexes import (_STORE, SimplicialComplex, _compress,
-                                _maximal, _restricted_facets, alexander_dual,
+                                _full_subcomplex_facets, _maximal,
+                                _restricted_facets, alexander_dual,
                                 boundary_of_simplex, core_mask,
                                 dominated_vertex, empty_complex, flag_complex,
                                 full_subcomplex, is_chordal, join,
@@ -179,6 +180,21 @@ class TestFullSubcomplex:
                 assert len(got) == len(set(got))
                 assert set(got) == set(_maximal(f & mask for f in K.facets)), \
                     (K, verts(mask))
+
+    def test_table_facets_are_the_maximal_ones(self):
+        # the facets the full-subcomplex table derives for every I of 200
+        # seeded complexes of four kinds, every third with a ghost vertex
+        # added, and their relabelling onto 1..|I|
+        for K in _seeded_cores()[1][:200]:
+            walked = []
+            for imask, facets, relabelled in _full_subcomplex_facets(K):
+                walked.append(imask)
+                assert len(facets) == len(set(facets))
+                assert set(facets) == set(_maximal(f & imask
+                                                   for f in K.facets)), \
+                    (K, verts(imask))
+                assert relabelled == [_compress(f, imask) for f in facets]
+            assert walked == list(range(1, 1 << K.m)), K
 
 
 def _core(K):

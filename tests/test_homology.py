@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatwedge.complexes import (alexander_dual, boundary_of_simplex,
-                                empty_complex, flag_complex, full_subcomplex,
-                                join, make_complex, mask_of, run, simplex,
-                                verts)
+from fatwedge.complexes import (SimplicialComplex, alexander_dual,
+                                boundary_of_simplex, empty_complex,
+                                flag_complex, full_subcomplex, join,
+                                make_complex, mask_of, run, simplex, verts)
 from fatwedge.corpus import berglund_complex, load
 from fatwedge import homology
 from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, HomologyProfile,
@@ -18,6 +18,7 @@ from fatwedge.homology import (GF, QQ, ZZ, HomologyBasis, HomologyProfile,
                                is_zero_on_homology, reduced_homology,
                                simplicial_chain_complex)
 from fatwedge.snf import complex_rank_divisors
+from fatwedge.tor import torsion_primes
 
 from helpers import (dense_boundary, is_i_acyclic, naive_homology,
                      naive_is_boundary, naive_rank_mod_p, random_complex,
@@ -247,6 +248,26 @@ class TestFullSubcomplexTable:
             table = full_subcomplex_profiles(path)
         two = [prof for prof in table.values() if prof.betti(0) == 1]
         assert len(two) > 1 and all(prof is two[0] for prof in two)
+
+    def test_relabelling_permutes_the_table(self):
+        # a permutation pi of [m] moves every entry from I to pi(I) and
+        # changes no profile, dK or torsion prime; the ghost of every third
+        # case lands anywhere in [m]
+        rng = random.Random(2029)
+        for K in _core_cases()[:200]:
+            perm = list(range(1, K.m + 1))
+            rng.shuffle(perm)
+
+            def move(mask):
+                return mask_of(perm[v - 1] for v in verts(mask))
+
+            L = SimplicialComplex(K.m, [move(f) for f in K.facets])
+            with run():
+                want = {move(I): prof
+                        for I, prof in full_subcomplex_profiles(K).items()}
+                assert full_subcomplex_profiles(L) == want, (K, perm)
+                assert dK(L) == dK(K), (K, perm)
+                assert torsion_primes(L) == torsion_primes(K), (K, perm)
 
 
 class TestOneReductionPerComplex:
@@ -508,6 +529,19 @@ class TestHomologyBases:
             pool.append(make_complex(7, [verts(f) for f in RP2.facets] + extra))
         for K in pool:
             with run():    # one chain complex per K, for every ring and degree
+                for ring in self.rings:
+                    for q in range(-1, K.dim + 1):
+                        self._check(K, ring, q, rng)
+
+    def test_rp2_with_cones(self):
+        # RP^2 with cones hung on its faces: the Z/2 in H_1, alone or next
+        # to free classes the cones add, and dominated apexes
+        rng = random.Random(2013)
+        pool = [rp2_with_cones(rng, cones=2) for _ in range(12)]
+        assert all(reduced_homology(K).torsion_at(1) == (2,) for K in pool)
+        assert any(reduced_homology(K).betti(1) for K in pool)
+        for K in pool:
+            with run():
                 for ring in self.rings:
                     for q in range(-1, K.dim + 1):
                         self._check(K, ring, q, rng)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from fatwedge import homology, rmac
 from fatwedge.complexes import (boundary_of_simplex, empty_complex, join,
                                 make_complex, run, simplex)
-from fatwedge.homology import DD_ZERO_CHECKS, GF, QQ, ZZ, ChainComplex
+from fatwedge.homology import (DD_ZERO_CHECKS, GF, QQ, ZZ, ChainComplex,
+                               HomologyProfile, full_subcomplex_profiles)
 from fatwedge.rmac import (CubicalComplex, build_rmac, cubical_chain_complex,
                            cubical_homology, hochster_identity_check,
                            rmac_filtration)
@@ -347,3 +348,32 @@ class TestHochsterIdentity:
                 rep = hochster_identity_check(simplex(m).skeleton(k), ring)
                 assert rep.equal
                 assert rep.lhs.free == {k + 1: rank} and not rep.lhs.torsion
+
+    def test_every_stage_of_the_filtration(self):
+        """H~_q(RZ_K^i) = sum over 0 < |I| <= i of H~_{q-1}(K_I), for every
+        stage i of the fat wedge filtration.
+
+        An empirical cross-check, not a cited theorem: at i = m it is the
+        Hochster identity above, and the BBCG splitting of RZ_K, with
+        RZ_K^i the union of the RZ_{K_I} over |I| = i, suggests it at every
+        stage.  300 seeded complexes with m <= 6, every third with a ghost
+        vertex added.
+        """
+        rng = random.Random(14)
+        checks = 0
+        for k in range(300):
+            if k % 3 == 0:
+                K = random_complex(rng, max_m=5)
+                K = with_ground(K, K.m + 1)
+            else:
+                K = random_complex(rng, max_m=6)
+            with run():
+                table = full_subcomplex_profiles(K)
+                for i in range(1, K.m + 1):
+                    rhs = HomologyProfile.direct_sum(
+                        (prof.shifted(1) for I, prof in table.items()
+                         if I.bit_count() <= i), ZZ)
+                    lhs = cubical_homology(rmac_filtration(K, i), ZZ)
+                    assert lhs == rhs, (K, i)
+                    checks += 1
+        assert checks >= 1000
