@@ -9,17 +9,17 @@ filtration level i keeps the faces with |sigma| >= m - i.
 A cell is stored as the integer code (sigma << m) | tau.  Since tau < 2^m,
 codes sort exactly like (sigma, tau) pairs.  No geometric coordinates are
 ever materialized, since homology only needs the cellular chain complex.
-The facets of a cell sit at code offsets that depend only on its free set
-tau - sigma, so ``cubical_homology`` coreduces the cells on their codes
+The cells with free set mu = tau - sigma form a block, one int indexed by
+sigma, whose facets lie in the blocks mu - b at shifts fixed by mu, so
+``cubical_homology`` coreduces a block at a time with big-int operations
 (Mrozek and Batko, "Coreduction homology algorithm", Discrete Comput. Geom.
 41, 2009) and builds boundary columns only for the cells that survive.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count
 
 from .complexes import SimplicialComplex, run, subsets_of
 from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
@@ -27,6 +27,8 @@ from .homology import (ChainComplex, CoefficientRing, HomologyProfile, ZZ,
 
 #: 3^m faces add up fast; refuse larger ground sets unless told otherwise.
 DEFAULT_MAX_M = 12
+#: reads bin(x) as bytes 0 and 1, for compress
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass
@@ -140,49 +142,55 @@ def cubical_chain_complex(C: CubicalComplex) -> ChainComplex:
 def cubical_homology(C: CubicalComplex, ring: CoefficientRing = ZZ) -> HomologyProfile:
     """Reduced homology of the cubical complex (degree -1 materialized).
 
-    C is coreduced on its cell codes before any column exists (Mrozek and
-    Batko, "Coreduction homology algorithm", Discrete Comput. Geom. 41,
-    2009).  The empty cell is paired with the first vertex; then a FIFO
-    worklist takes every cell left with one live facet and deletes it with
-    that facet.  A pair with a unit entry alone in its column only deletes
-    entries, as in ``snf.complex_rank_divisors``, so the cells that survive,
-    with their boundaries restricted to surviving cells, have the homology
-    of C.  Only they become a ``ChainComplex``, reduced by the one sparse
-    eliminator (torsion, and any component the cascade never reached).
+    C is coreduced block by block (Mrozek and Batko) before any column
+    exists.  The block of free set mu is an int x, bit s set while the cell
+    (s, s | mu) is live.  For each b in mu the block lo of mu - b holds the
+    facets: lo & x marks the live (s, s | mu - b), lo >> b & x the live
+    (s | b, s | mu).  Bit-sliced counters over them give the cells with one
+    live facet, and a step deletes them all, each with that facet: two cells
+    of a block share no facet, so the batch is a valid sequence of
+    coreductions.  The empty cell is paired with the first vertex, then the
+    blocks are swept by rising dimension until a sweep deletes nothing.  A
+    pair with a unit entry alone in its column only deletes entries, so the
+    survivors, with their boundaries restricted to survivors, have the
+    homology of C; only they become a ``ChainComplex`` for the one sparse
+    eliminator (torsion, and any component that no sweep reached).
 
-    Checks run on the compact form: every facet of every cell must be a
-    cell of C, and for every free set mu in C the facets of facets, summed
-    as code offsets, must cancel, which is d^2 = 0 on each cell with free
-    set mu since c -> c + x is injective.  The survivors' chain complex runs
-    its own d^2 check.
+    Checks run on the blocks: sigma lies in tau, the dimension is |mu|,
+    x and x << b lie in lo for each b in mu (every facet is a cell), and
+    the facets of facets, summed as code offsets, cancel (d^2 = 0 on the
+    block, as c -> c + x is injective); the survivors' complex checks d^2.
     """
     m = C.m
     full = (1 << m) - 1
-    blocks: dict[int, list[int]] = {}     # free set -> its cells
-    live: dict[int, int] = {}       # live cell -> number of live facets
+    live: dict[int, int] = {}       # free set mu -> its block of live cells
     for d, cells in C.faces.items():
-        # a vertex's one facet is the empty cell, which is paired below
-        live.update(zip(cells, repeat(2 * d)))
-        here: dict[int, list[int]] = {}
+        # a cell sets a bit in bytes; x |= 1 << s would copy x for each cell
+        here: dict[int, bytearray] = {}
         for c in cells:
-            mu = c & full & ~(c >> m)
+            s = c >> m
+            mu = c & full ^ s
+            if s & mu:
+                raise ValueError(f"cell {c:#b} has sigma outside tau")
             block = here.get(mu)
             if block is None:
-                block = here[mu] = []
-            block.append(c)
-        for mu in here:
+                block = here[mu] = bytearray((full >> 3) + 1)
+            block[s >> 3] |= 1 << (s & 7)
+        for mu, block in here.items():
             if mu.bit_count() != d:
                 raise ValueError(f"a cell of dimension {mu.bit_count()} "
                                  f"is listed in dimension {d}")
-        blocks.update(here)
-    offsets = {mu: _face_offsets(mu, m) for mu in blocks}
-    # every facet of every cell is a cell (of the dimension below, as every
-    # cell's dimension was checked), so the counts of live facets are exact
-    for mu, offs in offsets.items():
-        for o, _ in offs:
-            if not all(map(live.__contains__, map(o.__add__, blocks[mu]))):
+            live[mu] = int.from_bytes(block, "little")
+    offsets = {mu: _face_offsets(mu, m) for mu in live}
+    # (b, mu - b) for each b in mu, read off its facet at offset -b; no sigma
+    # in block mu holds b, so bit s | b of block mu - b is bit s + b
+    down = {mu: [(-o, mu + o) for o, _ in offsets[mu][::2]]
+            for mu in sorted(live, key=int.bit_count)}
+    for mu, bits in down.items():
+        for b, f in bits:
+            lo = live.get(f, 0)
+            if live[mu] & ~lo or live[mu] << b & ~lo:
                 raise ValueError("cubical complex is not boundary-closed")
-    del blocks
     for mu, offs in offsets.items():
         acc: dict[int | None, int] = {}
         for o, s in offs:
@@ -194,42 +202,33 @@ def cubical_homology(C: CubicalComplex, ring: CoefficientRing = ZZ) -> HomologyP
                 acc[o + o2] = acc.get(o + o2, 0) + s * s2
         if any(acc.values()):
             raise ValueError(f"d^2 != 0 on the cells with free set {mu:#b}")
-    # a coface of a cell adds a bit j to its free set mu, taken from sigma
-    # or from outside tau, and mu | j must be a free set of C
-    up = {mu: [(1 << k, 1 << (k + m)) for k in range(m)
-               if not mu >> k & 1 and mu | 1 << k in offsets]
-          for mu in offsets}
-    work: deque[int] = deque()
-
-    def drop(x: int) -> None:
-        # x has died, so each live coface (which counted x) loses a facet
-        for j, js in up[x & full & ~(x >> m)]:
-            y = x - js if x & js else x + j
-            n = live.get(y)
-            if n:
-                live[y] = n - 1
-                if n == 2:
-                    work.append(y)
-
     if C.faces.get(0):
-        v0 = C.faces[0][0]
-        del live[v0]    # paired with the empty cell
-        drop(v0)
-    while work:
-        c = work.popleft()
-        if live.get(c) != 1:
-            continue
-        for o, _ in offsets[c & full & ~(c >> m)]:
-            if c + o in live:
-                break
-        del live[c], live[c + o]
-        drop(c)
-        drop(c + o)
-    basis = {d: tuple(c for c in cells if c in live)
-             for d, cells in C.faces.items()}
-    del live
+        live[0] ^= 1 << (C.faces[0][0] >> m)    # paired with the empty cell
+    changed = True
+    while changed:
+        changed = False
+        for mu, bits in down.items():
+            x = live[mu]
+            ones = twos = 0     # cells with at least one, two live facets
+            for b, f in bits:
+                for y in (live[f] & x, live[f] >> b & x):
+                    twos |= ones & y
+                    ones |= y
+            one = ones & ~twos
+            if one:
+                changed = True
+                live[mu] = x ^ one
+                for b, f in bits:   # its one live facet: bit s or s + b
+                    live[f] &= ~(one | one << b)
+    basis = {d: [] for d in C.faces}
+    for mu, x in live.items():  # cell (s, s | mu) has code s * (2^m + 1) + mu
+        bits = bin(x)[:1:-1].encode().translate(_BITS)
+        codes = map((full + 2).__mul__, compress(count(), bits))
+        basis[mu.bit_count()] += map(mu.__add__, codes)
+    for cells in basis.values():
+        cells.sort()
     if not C.faces.get(0):
-        basis[-1] = (0,)    # no vertex to pair the empty cell with
+        basis[-1] = [0]     # no vertex to pair the empty cell with
     boundary: dict[int, list[dict[int, int]]] = {}
     for d, cells in basis.items():
         low = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
@@ -265,9 +264,10 @@ def hochster_identity_check(K: SimplicialComplex, ring: CoefficientRing = ZZ,
     """H~_q(RZ_K) vs the direct sum of H~_{q-1}(K_I) over nonempty I.
 
     Both sides are computed independently: the left from the cubical cell
-    structure, coreduced on the cell codes (Mrozek and Batko) before the
-    survivors go to the sparse eliminator (``cubical_homology``), the right
-    from the table of full-subcomplex homology.
+    structure, coreduced a block of one free set per step on bitsets of
+    sigma (Mrozek and Batko) before the survivors go to the sparse
+    eliminator (``cubical_homology``), the right from the table of
+    full-subcomplex homology.
     """
     C = build_rmac(K, max_m=max_m, allow_large=allow_large)
     counts = C.counts()

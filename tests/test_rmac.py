@@ -207,8 +207,12 @@ class TestHomology:
 
 
 class TestCoreduction:
-    """cubical_homology coreduces the cells on their codes and hands only the
-    survivors to the eliminator; the full cellular chains are its reference."""
+    """cubical_homology coreduces the cells a block at a time (Mrozek and
+    Batko, DCG 41 (2009)): the block of a free set mu is one int with bit
+    sigma set while the cell (sigma, sigma | mu) is live, and one step
+    deletes every cell of the block with exactly one live facet, together
+    with that facet.  Only the survivors go to the eliminator; the full
+    cellular chains are its reference."""
 
     def test_profiles_match_the_full_chains(self):
         rng = random.Random(2808)
@@ -281,6 +285,105 @@ class TestCoreduction:
         monkeypatch.setattr(rmac, "_face_offsets", flipped)
         with pytest.raises(ValueError, match="d\\^2 != 0"):
             cubical_homology(build_rmac(C4), ZZ)
+
+
+def random_cube_closure(rng: random.Random, max_m: int = 5) -> CubicalComplex:
+    """The closure of a few random faces of the cube (D^1)^m, m <= max_m,
+    some of them hollow (their boundaries only): a cubical complex that
+    need not be any RZ_K."""
+    m = rng.randint(1, max_m)
+    full = (1 << m) - 1
+
+    def facets(sigma, tau):
+        for k in range(m):
+            b = 1 << k
+            if tau & ~sigma & b:
+                yield from ((sigma, tau ^ b), (sigma | b, tau))
+
+    todo = []
+    for _ in range(rng.randint(0, 3 * m)):
+        tau = rng.randint(0, full)
+        sigma = rng.randint(0, full) & tau
+        hollow = rng.random() < 0.5 and sigma != tau
+        todo += facets(sigma, tau) if hollow else [(sigma, tau)]
+    cells = set()
+    while todo:
+        cell = todo.pop()
+        if cell not in cells:
+            cells.add(cell)
+            todo += facets(*cell)
+    faces = {}
+    for sigma, tau in sorted(cells):
+        faces.setdefault((tau ^ sigma).bit_count(), []).append(
+            (sigma << m) | tau)
+    return CubicalComplex(m, {d: tuple(c) for d, c in faces.items()})
+
+
+class TestBlockSteps:
+    """The block step is generic: it must hold on cubical complexes that are
+    no RZ_K, and the checks on the blocks must see every malformed code."""
+
+    def test_random_closures_match_the_full_chains(self):
+        rng = random.Random(3101)
+        degrees = set()
+        for _ in range(300):
+            X = random_cube_closure(rng)
+            cc = cubical_chain_complex(X)
+            for ring in (ZZ, QQ, GF(2), GF(3)):
+                got = cubical_homology(X, ring)
+                assert got == homology.chain_homology(cc, ring), (X, ring)
+                degrees |= set(got.free)
+        # components, loops and voids all occur, not only contractible sets
+        assert degrees >= {-1, 0, 1, 2}
+
+    def test_sweeps_leave_no_cell_with_one_live_facet(self, monkeypatch):
+        # the sweeps stop only when no survivor of dimension >= 1 has
+        # exactly one surviving facet, so no survivor's column has one entry
+        columns = []
+        real = rmac.ChainComplex
+
+        def spy(basis, boundary):
+            columns.extend(col for cols in boundary.values() for col in cols)
+            return real(basis, boundary)
+
+        monkeypatch.setattr(rmac, "ChainComplex", spy)
+        rng = random.Random(3102)
+        cases = [random_cube_closure(rng) for _ in range(300)]
+        cases += [build_rmac(RP2_6), rmac_filtration(C4, 2)]
+        for X in cases:
+            cubical_homology(X, ZZ)
+        assert columns and all(len(col) != 1 for col in columns)
+
+    def test_missing_minus_facet_is_reported(self):
+        # the last cell of each dimension has the largest sigma, so it is a
+        # facet (s | b, s | mu) only, found by the shifted subset test
+        full = build_rmac(C4)
+        for d in (0, 1):
+            faces = dict(full.faces)
+            faces[d] = faces[d][:-1]
+            with pytest.raises(ValueError, match="not boundary-closed"):
+                cubical_homology(CubicalComplex(4, faces), ZZ)
+
+    @pytest.mark.parametrize("sigma, tau, d", [
+        (0b01, 0b10, 0), (0b01, 0b10, 2), (0b11, 0b01, 1), (0b100, 0b00, 1)])
+    def test_sigma_outside_tau_is_reported(self, sigma, tau, d):
+        # the block of tau ^ sigma would index the cell by the wrong bit
+        faces = dict(build_rmac(make_complex(2, [[1], [2]])).faces)
+        faces[d] = tuple(sorted((*faces.get(d, ()), (sigma << 2) | tau)))
+        with pytest.raises(ValueError, match="sigma outside tau"):
+            cubical_homology(CubicalComplex(2, faces), ZZ)
+
+
+class TestHochsterAtTheGuardrail:
+    def test_sk2_of_delta11_at_m_12(self):
+        # m = DEFAULT_MAX_M: 208,896 cells, and H~_3 = Z^65537 (the closed
+        # form of test_skeleta_against_closed_form)
+        K = simplex(12).skeleton(2)
+        assert K.m == rmac.DEFAULT_MAX_M
+        rep = hochster_identity_check(K, ZZ)
+        assert rep.equal
+        assert rep.face_counts == {0: 4096, 1: 24576, 2: 67584, 3: 112640}
+        assert rep.lhs.free == {3: 65537} and not rep.lhs.torsion
 
 
 class TestProductRule:
